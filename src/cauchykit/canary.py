@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cauchy import CauchySpec, build, is_invertible_spec
+from .cauchy import CauchySpec, _scale, build, is_invertible_spec
 from .densela import Matrix
 from .ring import CauchyKitError, NotInvertibleError, RationalRing
 
@@ -135,36 +135,16 @@ def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
 
 
 def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
-    """Closed-form inverse evaluated in float arithmetic: the same product
-    tables as the exact path, with every operation rounded to 64-bit."""
+    """Closed-form inverse evaluated in float arithmetic: the same scaled
+    transpose as the exact path, with every operation rounded to 64-bit."""
     if not isinstance(spec.ctx, RationalRing):
         raise CauchyKitError("float evaluation needs rational parameters")
-    n = spec.n
     xs = [float(x) for x in spec.xs]
     ys = [float(y) for y in spec.ys]
-    col_num, col_den = [], []
-    for j in range(n):
-        p, d = 1.0, 1.0
-        for k in range(n):
-            p *= xs[j] + ys[k]
-            if k != j:
-                d *= xs[j] - xs[k]
-        col_num.append(p)
-        col_den.append(d)
-    row_num, row_den = [], []
-    for i in range(n):
-        p, d = 1.0, 1.0
-        for k in range(n):
-            p *= xs[k] + ys[i]
-            if k != i:
-                d *= ys[i] - ys[k]
-        row_num.append(p)
-        row_den.append(d)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(col_num[j] * row_num[i] / ((xs[j] + ys[i]) * col_den[j] * row_den[i]))
-    return FloatMatrix(n, n, out)
+    a = [_scale(xs, ys, j, 1.0, lambda v: 1.0 / v) for j in range(spec.n)]
+    b = [_scale(ys, xs, i, 1.0, lambda v: 1.0 / v) for i in range(spec.n)]
+    entries = [b_i * a_j / (x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
+    return FloatMatrix(spec.n, spec.n, entries)
 
 
 def identity_residual(c: FloatMatrix, c_inv: FloatMatrix) -> float:

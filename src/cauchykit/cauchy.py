@@ -7,8 +7,12 @@ This module holds the constructions and closed-form results:
 * the determinant as a product of pairwise differences over pairwise sums,
 * the invertibility criterion (each vector strongly distinct, meaning
   pairwise differences are invertible),
-* per-entry and whole-matrix closed-form inverses (O(n^2) scalar work for
-  the full inverse, via precomputed product tables),
+* per-entry and whole-matrix closed-form inverses. The inverse is the
+  scaled transpose, C^-1 = diag(b) * C^T * diag(a), with
+  a_j = prod_k (x_j + y_k) / prod_{k != j} (x_j - x_k) and b_i the same
+  expression with x and y swapped (Schechter, "On the inversion of
+  certain matrices", MTAC 13, 1959; Knuth, TAOCP vol. 1, 1.2.3 ex. 41),
+  so the full inverse costs O(n^2) scalar work,
 * the entry sum of the inverse, which collapses to sum(x) + sum(y),
 * the entry sum of the adjugate, (sum(x) + sum(y)) * det, valid with no
   invertibility assumption at all,
@@ -148,10 +152,26 @@ def _require_invertible(spec: CauchySpec):
         )
 
 
-def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
-    """Single entry of the inverse, directly from the parameters:
+def _scale(us: Sequence, vs: Sequence, j: int, one, inv):
+    """prod_k (u_j + v_k) * inv(prod_{k != j} (u_j - u_k)), in O(n).
 
-        inv[i, j] = prod_k (x_j + y_k)(x_k + y_i)
+    With (xs, ys) this is the column scale a_j of the inverse, with (ys, xs)
+    the row scale b_i; ``one`` and ``inv`` pick the arithmetic, so the float
+    canary evaluates the same formula.
+    """
+    num = den = one
+    for k in range(len(us)):
+        num = num * (us[j] + vs[k])
+        if k != j:
+            den = den * (us[j] - us[k])
+    return num * inv(den)
+
+
+def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
+    """Single entry of the inverse, directly from the parameters in O(n):
+
+        inv[i, j] = b_i * a_j / (x_j + y_i)
+                  = prod_k (x_j + y_k)(x_k + y_i)
                     / ( (x_j + y_i) * prod_{k != j} (x_j - x_k)
                                     * prod_{k != i} (y_i - y_k) ).
 
@@ -162,65 +182,22 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    ctx = spec.ctx
-    num = ctx.one
-    for k in range(n):
-        num = num * (spec.xs[j] + spec.ys[k]) * (spec.xs[k] + spec.ys[i])
-    den = spec.xs[j] + spec.ys[i]
-    for k in range(n):
-        if k != j:
-            den = den * (spec.xs[j] - spec.xs[k])
-        if k != i:
-            den = den * (spec.ys[i] - spec.ys[k])
-    return num * ctx.inv(den)
+    ctx, xs, ys = spec.ctx, spec.xs, spec.ys
+    a_j = _scale(xs, ys, j, ctx.one, ctx.inv)
+    b_i = _scale(ys, xs, i, ctx.one, ctx.inv)
+    return b_i * a_j * ctx.inv(xs[j] + ys[i])
 
 
 def inverse_closed(spec: CauchySpec) -> Matrix:
-    """Whole inverse in O(n^2) scalar operations (plus bignum growth).
-
-    Per-row and per-column products are tabulated once; each entry then
-    costs a handful of multiplications and one pairwise-sum inversion.
-    """
+    """Whole inverse in O(n^2) scalar operations (plus bignum growth):
+    diag(b) * C^T * diag(a), so each entry costs two multiplications and
+    one pairwise-sum inversion."""
     _require_invertible(spec)
-    ctx = spec.ctx
-    n = spec.n
-    xs, ys = spec.xs, spec.ys
-
-    col_num = []  # prod_k (x_j + y_k), per column j
-    inv_col_den = []  # 1 / prod_{k != j} (x_j - x_k)
-    for j in range(n):
-        p = ctx.one
-        d = ctx.one
-        for k in range(n):
-            p = p * (xs[j] + ys[k])
-            if k != j:
-                d = d * (xs[j] - xs[k])
-        col_num.append(p)
-        inv_col_den.append(ctx.inv(d))
-
-    row_num = []  # prod_k (x_k + y_i), per row i
-    inv_row_den = []  # 1 / prod_{k != i} (y_i - y_k)
-    for i in range(n):
-        p = ctx.one
-        d = ctx.one
-        for k in range(n):
-            p = p * (xs[k] + ys[i])
-            if k != i:
-                d = d * (ys[i] - ys[k])
-        row_num.append(p)
-        inv_row_den.append(ctx.inv(d))
-
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            entries.append(
-                col_num[j]
-                * row_num[i]
-                * ctx.inv(xs[j] + ys[i])
-                * inv_col_den[j]
-                * inv_row_den[i]
-            )
-    return Matrix(n, n, entries, ctx)
+    ctx, xs, ys = spec.ctx, spec.xs, spec.ys
+    a = [_scale(xs, ys, j, ctx.one, ctx.inv) for j in range(spec.n)]
+    b = [_scale(ys, xs, i, ctx.one, ctx.inv) for i in range(spec.n)]
+    entries = [b_i * a_j * ctx.inv(x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
+    return Matrix(spec.n, spec.n, entries, ctx)
 
 
 def inverse_entry_sum(spec: CauchySpec) -> Scalar:

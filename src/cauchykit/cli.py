@@ -90,6 +90,16 @@ def _load_min_spec(args) -> minmat.MinSpec:
     return spec
 
 
+def _load_min_spec_sorted(args) -> minmat.MinSpec:
+    # the determinant closed form wants each vector ascending but no x/y swap
+    spec = _load_min_spec(args)
+    return minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))
+
+
+def _load_min_spec_normalized(args) -> minmat.SortedMinSpec:
+    return minmat.normalize(_load_min_spec(args))
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -179,25 +189,11 @@ def cmd_inv(args) -> int:
     return EXIT_OK
 
 
-def _single_check(args, make_report) -> int:
-    report = make_report()
+def cmd_check(args) -> int:
+    identity, load = args.check
+    report = verify.check_identity(identity, load(args))
     _emit_reports([report], args.format)
     return _exit_code_for([report])
-
-
-def cmd_invsum(args) -> int:
-    spec = _load_cauchy_spec(args)
-    return _single_check(args, lambda: verify.check_inverse_entry_sum(spec))
-
-
-def cmd_adjsum(args) -> int:
-    spec = _load_cauchy_spec(args)
-    return _single_check(args, lambda: verify.check_adjugate_entry_sum(spec))
-
-
-def cmd_border(args) -> int:
-    spec = _load_cauchy_spec(args)
-    return _single_check(args, lambda: verify.check_bordered_det(spec))
 
 
 def cmd_lemma_ab(args) -> int:
@@ -216,23 +212,6 @@ def cmd_lemma_ab(args) -> int:
         )
     _emit_reports(reports, args.format)
     return _exit_code_for(reports)
-
-
-def cmd_min_det(args) -> int:
-    # the determinant closed form wants each vector ascending but no x/y swap
-    spec = _load_min_spec(args)
-    sorted_spec = minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))
-    return _single_check(args, lambda: verify.check_min_det(sorted_spec))
-
-
-def cmd_min_invsum(args) -> int:
-    spec = _load_min_spec(args)
-    return _single_check(args, lambda: verify.check_min_inverse_entry_sum(spec))
-
-
-def cmd_min_colsums(args) -> int:
-    spec = minmat.normalize(_load_min_spec(args))
-    return _single_check(args, lambda: verify.check_min_column_sums(spec))
 
 
 def cmd_verify(args) -> int:
@@ -302,14 +281,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "build": (cmd_build, True, "build the matrix for a spec"),
         "det": (cmd_det, True, "closed-form determinant"),
         "inv": (cmd_inv, True, "closed-form inverse matrix"),
-        "invsum": (cmd_invsum, True, "check the inverse entry-sum identity"),
-        "adjsum": (cmd_adjsum, True, "check the adjugate entry-sum identity"),
-        "border": (cmd_border, True, "check the bordered-determinant identity"),
+        "invsum": (cmd_check, True, "check the inverse entry-sum identity"),
+        "adjsum": (cmd_check, True, "check the adjugate entry-sum identity"),
+        "border": (cmd_check, True, "check the bordered-determinant identity"),
         "lemma-ab": (cmd_lemma_ab, False, "check the weighted trace identity on random A, B"),
-        "min-det": (cmd_min_det, True, "check the min-matrix determinant closed form"),
-        "min-invsum": (cmd_min_invsum, True, "check the min-matrix inverse entry sum"),
-        "min-colsums": (cmd_min_colsums, True, "check the min-matrix inverse column sums"),
+        "min-det": (cmd_check, True, "check the min-matrix determinant closed form"),
+        "min-invsum": (cmd_check, True, "check the min-matrix inverse entry sum"),
+        "min-colsums": (cmd_check, True, "check the min-matrix inverse column sums"),
         "verify": (cmd_verify, False, "run the full seeded identity suite"),
+    }
+    checks = {  # cmd_check rows: the identity and the loader of its spec
+        "invsum": ("inverse_entry_sum", _load_cauchy_spec),
+        "adjsum": ("adjugate_entry_sum", _load_cauchy_spec),
+        "border": ("bordered_det", _load_cauchy_spec),
+        "min-det": ("min_det", _load_min_spec_sorted),
+        "min-invsum": ("min_inverse_entry_sum", _load_min_spec),
+        "min-colsums": ("min_inverse_column_sums", _load_min_spec_normalized),
     }
     for name, (handler, needs_spec, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
@@ -318,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--kind", choices=("cauchy", "min"), default="cauchy", help="spec kind to generate"
             )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, check=checks.get(name))
 
     p = sub.add_parser("canary", help="float ill-conditioning canary on Hilbert matrices")
     common(

@@ -108,17 +108,19 @@ def normalize(spec: MinSpec) -> SortedMinSpec:
 
 
 def _require_nonsingular(spec: MinSpec) -> None:
-    det = build(spec).det_fast()
-    if det == 0:
-        raise NotInvertibleError(det, "min matrix is singular")
+    # sorting permutes rows and columns and the x/y swap transposes, so the
+    # normalized spec's determinant is zero exactly when this one's is
+    if det_zero_predicate(normalize(spec)):
+        raise NotInvertibleError(Fraction(0), "min matrix is singular")
 
 
 def inverse_entry_sum(spec: MinSpec) -> Fraction:
     """Entry sum of the inverse: 1 / min of all 2n parameters.
 
-    Invertibility is checked through the elimination determinant; when the
-    matrix is invertible the overall minimum cannot be zero (a zero minimum
-    forces a zero row), so the division below is safe.
+    Invertibility is checked in O(n) through the closed-form determinant's
+    factors on the normalized spec; when the matrix is invertible the
+    overall minimum cannot be zero (a zero minimum forces a zero row), so
+    the division below is safe.
     """
     _require_nonsingular(spec)
     return Fraction(1) / min(min(spec.xs), min(spec.ys))

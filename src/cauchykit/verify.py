@@ -68,7 +68,7 @@ def ring_from_json(obj) -> RingContext:
     if isinstance(obj, dict) and set(obj) == {"prime"}:
         try:
             return PrimeField(int(obj["prime"]))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise SpecFormatError(str(exc)) from exc
     raise SpecFormatError(f'ring must be "rational" or {{"prime": p}}, got {obj!r}')
 
@@ -116,17 +116,19 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
             raise SpecFormatError("min specs are rational-only")
         if negate_ys:
             raise SpecFormatError("the minus convention applies to cauchy specs only")
-        return minmat.MinSpec(xs, ys)
-    if kind != "cauchy":
+    elif kind != "cauchy":
         raise SpecFormatError(f'kind must be "cauchy" or "min", got {kind!r}')
+    # bad scalar text, "1/0", empty or mismatched vectors
     try:
+        if kind == "min":
+            return minmat.MinSpec(xs, ys)
         xs = [ctx.coerce(x) for x in xs]
         ys = [ctx.coerce(y) for y in ys]
-    except (ValueError, TypeError) as exc:
-        raise SpecFormatError(f"bad scalar in spec: {exc}") from exc
-    if negate_ys:
-        ys = [-y for y in ys]
-    return cauchy.CauchySpec(xs, ys, ctx)
+        if negate_ys:
+            ys = [-y for y in ys]
+        return cauchy.CauchySpec(xs, ys, ctx)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SpecFormatError(f"unusable spec: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -214,58 +216,53 @@ def render_matrix(m: Matrix) -> str:
     return json.dumps(matrix_to_json(m)["entries"], separators=(",", ":"))
 
 
-def check_cauchy_det(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    r = spec.ctx.render
-    return _report(
-        "cauchy_det",
-        r(cauchy.det_closed(spec)),
-        r(cauchy.build(spec).det_fast()),
-        spec_to_json(spec),
-        seed,
-    )
+def _min_column_sums_oracle(spec) -> tuple:
+    inv = minmat.build(spec).inverse()
+    return tuple(inv.column_sum(j) for j in range(spec.n))
 
 
-def check_inverse_entry_sum(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    r = spec.ctx.render
-    return _report(
-        "inverse_entry_sum",
-        r(cauchy.inverse_entry_sum(spec)),
-        r(cauchy.build(spec).inverse().entry_sum()),
-        spec_to_json(spec),
-        seed,
-    )
+# identity -> (closed form, oracle, render). Ring scalars render with str,
+# which is what ctx.render gives for them. The lambdas look module functions
+# up at call time, so a module attribute replaced later (say, by a tracing
+# wrapper) is the one that runs.
+IDENTITIES = {
+    "cauchy_det": (lambda s: cauchy.det_closed(s), lambda s: cauchy.build(s).det_fast(), str),
+    "inverse_entry_sum": (
+        lambda s: cauchy.inverse_entry_sum(s), lambda s: cauchy.build(s).inverse().entry_sum(), str
+    ),
+    "inverse_entrywise": (
+        lambda s: cauchy.inverse_closed(s), lambda s: cauchy.build(s).inverse(), render_matrix
+    ),
+    "adjugate_entry_sum": (
+        lambda s: cauchy.adjugate_entry_sum_closed(s),
+        lambda s: cauchy.build(s).adjugate().entry_sum(),
+        str,
+    ),
+    "bordered_det": (
+        lambda s: cauchy.bordered_det_closed(s), lambda s: cauchy.bordered_matrix(s).det_fast(), str
+    ),
+    "invertibility_criterion": (
+        lambda s: cauchy.is_invertible_spec(s).invertible,
+        lambda s: s.ctx.is_invertible(cauchy.det_closed(s)),
+        json.dumps,
+    ),
+    "min_det": (lambda s: minmat.det_closed(s), lambda s: minmat.build(s).det_fast(), str),
+    "min_inverse_entry_sum": (
+        lambda s: minmat.inverse_entry_sum(s), lambda s: minmat.build(s).inverse().entry_sum(), str
+    ),
+    "min_inverse_column_sums": (
+        lambda s: minmat.inverse_column_sums(s),
+        _min_column_sums_oracle,
+        lambda vs: json.dumps([str(v) for v in vs], separators=(",", ":")),
+    ),
+}
 
 
-def check_inverse_entrywise(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    return _report(
-        "inverse_entrywise",
-        render_matrix(cauchy.inverse_closed(spec)),
-        render_matrix(cauchy.build(spec).inverse()),
-        spec_to_json(spec),
-        seed,
-    )
-
-
-def check_adjugate_entry_sum(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    r = spec.ctx.render
-    return _report(
-        "adjugate_entry_sum",
-        r(cauchy.adjugate_entry_sum_closed(spec)),
-        r(cauchy.build(spec).adjugate().entry_sum()),
-        spec_to_json(spec),
-        seed,
-    )
-
-
-def check_bordered_det(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    r = spec.ctx.render
-    return _report(
-        "bordered_det",
-        r(cauchy.bordered_det_closed(spec)),
-        r(cauchy.bordered_matrix(spec).det_fast()),
-        spec_to_json(spec),
-        seed,
-    )
+def check_identity(identity: str, spec, seed=None) -> VerificationReport:
+    """Check one identity of :data:`IDENTITIES` on a Cauchy or min spec: the
+    closed form is evaluated first, so its precondition errors come first."""
+    closed, oracle, render = IDENTITIES[identity]
+    return _report(identity, render(closed(spec)), render(oracle(spec)), spec_to_json(spec), seed)
 
 
 def check_border_general(a: Matrix, seed=None) -> VerificationReport:
@@ -298,51 +295,6 @@ def check_lemma_ab(a: Matrix, b: Matrix, w: WeightVectors, seed=None) -> Verific
     )
 
 
-def check_invertibility_criterion(spec: cauchy.CauchySpec, seed=None) -> VerificationReport:
-    verdict = cauchy.is_invertible_spec(spec)
-    oracle = spec.ctx.is_invertible(cauchy.det_closed(spec))
-    return _report(
-        "invertibility_criterion",
-        json.dumps(verdict.invertible),
-        json.dumps(oracle),
-        spec_to_json(spec),
-        seed,
-    )
-
-
-def check_min_det(spec: minmat.MinSpec, seed=None) -> VerificationReport:
-    return _report(
-        "min_det",
-        str(minmat.det_closed(spec)),
-        str(minmat.build(spec).det_fast()),
-        spec_to_json(spec),
-        seed,
-    )
-
-
-def check_min_inverse_entry_sum(spec: minmat.MinSpec, seed=None) -> VerificationReport:
-    return _report(
-        "min_inverse_entry_sum",
-        str(minmat.inverse_entry_sum(spec)),
-        str(minmat.build(spec).inverse().entry_sum()),
-        spec_to_json(spec),
-        seed,
-    )
-
-
-def check_min_column_sums(spec: minmat.SortedMinSpec, seed=None) -> VerificationReport:
-    closed = minmat.inverse_column_sums(spec)
-    inv = minmat.build(spec).inverse()
-    oracle = tuple(inv.column_sum(j) for j in range(spec.n))
-    return _report(
-        "min_inverse_column_sums",
-        json.dumps([str(c) for c in closed], separators=(",", ":")),
-        json.dumps([str(c) for c in oracle], separators=(",", ":")),
-        spec_to_json(spec),
-        seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # The seeded suite
 
@@ -358,16 +310,14 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
         n = rng.randint(1, n_max)
 
         spec = random_cauchy_spec(rng, ctx, n)
-        reports.append(check_cauchy_det(spec, seed))
-        reports.append(check_inverse_entry_sum(spec, seed))
-        reports.append(check_inverse_entrywise(spec, seed))
-        reports.append(check_bordered_det(spec, seed))
+        for identity in ("cauchy_det", "inverse_entry_sum", "inverse_entrywise", "bordered_det"):
+            reports.append(check_identity(identity, spec, seed))
 
         # every other trial, degrade the spec so the adjugate identity and
         # the invertibility criterion see the singular branch too
         probe = force_repeated_value(rng, spec) if t % 2 == 0 else spec
-        reports.append(check_adjugate_entry_sum(probe, seed))
-        reports.append(check_invertibility_criterion(probe, seed))
+        reports.append(check_identity("adjugate_entry_sum", probe, seed))
+        reports.append(check_identity("invertibility_criterion", probe, seed))
 
         side = rng.randint(1, min(n_max, 5))
         reports.append(check_border_general(random_matrix(rng, ctx, side, side), seed))
@@ -384,8 +334,8 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
 
         mspec = random_min_spec(rng, n)
         sorted_spec = minmat.normalize(mspec)
-        reports.append(check_min_det(sorted_spec, seed))
+        reports.append(check_identity("min_det", sorted_spec, seed))
         if minmat.build(mspec).det_fast() != 0:
-            reports.append(check_min_inverse_entry_sum(mspec, seed))
-            reports.append(check_min_column_sums(sorted_spec, seed))
+            reports.append(check_identity("min_inverse_entry_sum", mspec, seed))
+            reports.append(check_identity("min_inverse_column_sums", sorted_spec, seed))
     return reports

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -156,6 +157,27 @@ class TestInputErrors:
         code, _, _ = run(capsys, "min-det", MIN_ZERO, "--minus-convention")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"xs":["1/0"],"ys":["1"]}',
+            '{"xs":["1"],"ys":["1","2"]}',
+            '{"xs":[],"ys":[]}',
+            '{"kind":"min","xs":["1/0"],"ys":["1"]}',
+            '{"kind":"min","xs":["one"],"ys":["1"]}',
+            '{"kind":"min","xs":["1"],"ys":["1","2"]}',
+            '{"kind":"min","xs":[],"ys":[]}',
+            '{"ring":{"prime":3317044064679887385961981},"xs":["1"],"ys":["2"]}',
+            '{"ring":{"prime":[101]},"xs":["1"],"ys":["2"]}',
+        ],
+    )
+    def test_unusable_spec_is_one_error_line(self, capsys, spec):
+        command = "min-invsum" if '"min"' in spec else "det"
+        code, out, err = run(capsys, command, spec)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(EXAMPLE)
@@ -169,6 +191,14 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--seed", "42", "--trials", "4", "--n", "4")
         _, second, _ = run(capsys, "verify", "--seed", "42", "--trials", "4", "--n", "4")
         assert first == second
+
+    def test_seed_42_output_is_pinned(self, capsys):
+        _, out, _ = run(capsys, "verify", "--seed", "42")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "1e20a0237e677280be4dc288734c33e0f8a5e220b77411dfd4c5cbf3f25dd797", (
+            "`cauchykit verify --seed 42` stdout changed; diff it against the output "
+            "of the parent commit to see which report moved"
+        )
 
     def test_passes_and_reports(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "1", "--trials", "3", "--n", "3")

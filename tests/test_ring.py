@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -12,6 +13,7 @@ from cauchykit.ring import (
     PrimeField,
     RationalRing,
     UnorderedRingError,
+    _is_prime,
 )
 
 RING = RationalRing()
@@ -102,6 +104,31 @@ class TestPrimeField:
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             PrimeField(100)
+
+    def test_large_prime_modulus_is_prompt(self):
+        assert PrimeField(2**61 - 1).inv(2) * 2 == 1
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # Carmichael number
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            318665857834031151167461,  # strong pseudoprime to bases 2..37
+            3317044064679887385961981,  # the bound itself (a pseudoprime to bases 2..41)
+            2**89 - 1,  # a prime above the bound
+        ],
+    )
+    def test_pseudoprimes_and_oversized_moduli_rejected(self, n):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+    def test_primality_agrees_with_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(1 << 16) if _is_prime(n)] == [
+            n for n in range(1 << 16) if by_trial_division(n)
+        ]
 
     def test_default_modulus(self):
         assert PrimeField().p == 101
