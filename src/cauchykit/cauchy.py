@@ -176,7 +176,7 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
                                     * prod_{k != i} (y_i - y_k) ).
 
     The numerator's (x_j + y_k) factor is the one confirmed against the
-    adjugate/determinant oracle; see the formula-resolution test.
+    Gauss-Jordan oracle inverse; see the formula-resolution test.
     """
     _require_invertible(spec)
     n = spec.n

@@ -54,18 +54,17 @@ def _size_bound(text: str) -> int:
 
 
 def _read_spec_arg(arg: str) -> dict:
-    if arg.lstrip().startswith("{"):
-        text = arg
-    elif arg == "-":
-        text = sys.stdin.read()
-    else:
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise verify.SpecFormatError(f"spec is not valid JSON: {exc}") from exc
-    return obj
+        if arg.lstrip().startswith("{"):
+            text = arg
+        elif arg == "-":
+            text = sys.stdin.read()
+        else:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _load_spec(args):

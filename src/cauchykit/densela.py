@@ -2,9 +2,10 @@
 
 This is the oracle layer: deliberately brute-force code that the closed
 forms elsewhere in the package are tested against. Determinants come in
-two independent flavors (first-row cofactor expansion, and elimination:
-fraction-free Bareiss over the rationals, pivoted Gaussian over a prime
-field) so that no identity is ever checked against a single algorithm.
+two independent flavors (first-row cofactor expansion, and Gaussian
+elimination over the field) so that no identity is ever checked against a
+single algorithm. The inverse is Gauss-Jordan elimination on [A | I]; the
+adjugate, built from minors, is its independent cross-check.
 
 Matrices are immutable. All indices are 0-based.
 """
@@ -18,7 +19,6 @@ from .ring import (
     CauchyKitError,
     ContextMismatchError,
     NotInvertibleError,
-    RationalRing,
     RingContext,
     Scalar,
 )
@@ -152,14 +152,10 @@ class Matrix:
         return _det_expand(self.to_rows(), self.ctx)
 
     def det_fast(self) -> Scalar:
-        """Determinant by elimination: Bareiss over the rationals (divisions
-        stay exact and intermediates stay integral for integral input),
-        plain pivoted Gaussian elimination over a prime field."""
+        """Determinant by Gaussian elimination, first nonzero pivot per
+        column, in either ring."""
         self._require_square("det_fast")
-        work = self.to_rows()
-        if isinstance(self.ctx, RationalRing):
-            return _det_bareiss(work, self.ctx)
-        return _det_gauss_field(work, self.ctx)
+        return _eliminate(self.to_rows(), self.ctx)
 
     def _minor(self, drop_row: int, drop_col: int) -> "Matrix":
         sub = [
@@ -188,18 +184,19 @@ class Matrix:
         return Matrix(n, n, out, self.ctx)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse as inv(det) * adjugate.
+        """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3).
 
         Raises NotInvertibleError (carrying the determinant) when the
         determinant is not a unit.
         """
         self._require_square("inverse")
-        det = self.det_fast()
-        if not self.ctx.is_invertible(det):
-            raise NotInvertibleError(det, f"matrix is singular: det = {self.ctx.render(det)}")
-        scale = self.ctx.inv(det)
-        adj = self.adjugate()
-        return Matrix(self.rows, self.cols, [scale * e for e in adj.entries], self.ctx)
+        n, ctx = self.rows, self.ctx
+        work = [list(self.row(i)) + [ctx.one if j == i else ctx.zero for j in range(n)]
+                for i in range(n)]
+        det = _eliminate(work, ctx, jordan=True)
+        if not ctx.is_invertible(det):
+            raise NotInvertibleError(det, f"matrix is singular: det = {ctx.render(det)}")
+        return Matrix(n, n, [e for row in work for e in row[n:]], ctx)
 
     def entry_sum(self) -> Scalar:
         acc = self.ctx.zero
@@ -236,54 +233,35 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
     return acc
 
 
-def _det_bareiss(m: list[list], ctx: RationalRing) -> Scalar:
-    n = len(m)
-    sign = 1
-    prev = ctx.one
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ctx.zero
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ctx.zero
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _det_gauss_field(m: list[list], ctx: RingContext) -> Scalar:
-    n = len(m)
+def _eliminate(m: list[list], ctx: RingContext, jordan: bool = False) -> Scalar:
+    """Gaussian elimination in place on the rows ``m`` (n of them, at least n
+    columns wide), taking the first nonzero pivot in each of the first n
+    columns. Returns the determinant of the leading n x n block. Each pivot
+    row is scaled to a leading 1; with ``jordan`` the pivot column is also
+    cleared above the pivot, so a nonsingular [A | I] ends as [I | inv(A)]."""
+    n, width = len(m), len(m[0])
     det = ctx.one
-    negate = False
     for k in range(n):
-        pivot_row = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot_row is None:
             return ctx.zero
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            negate = not negate
+            det = -det
         pivot = m[k][k]
         det = det * pivot
         inv_pivot = ctx.inv(pivot)
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv_pivot
-            if factor == 0:
+        row = m[k]
+        for j in range(k, width):
+            row[j] = row[j] * inv_pivot
+        for i in range(0 if jordan else k + 1, n):
+            factor = m[i][k]
+            if i == k or factor == 0:
                 continue
-            for j in range(k, n):
-                m[i][j] = m[i][j] - factor * m[k][j]
-    return -det if negate else det
+            target = m[i]
+            for j in range(k, width):
+                target[j] = target[j] - factor * row[j]
+    return det
 
 
 @dataclass(frozen=True)

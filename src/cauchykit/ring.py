@@ -153,10 +153,8 @@ class FpElement:
         return FpElement(v * pow(self.value, -1, self.p), self.p)
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            if self.value == 0:
-                raise NotInvertibleError(self)
-            return FpElement(pow(self.value, exponent, self.p), self.p)
+        if exponent < 0 and self.value == 0:
+            raise NotInvertibleError(self)
         return FpElement(pow(self.value, exponent, self.p), self.p)
 
     def __eq__(self, other):
@@ -283,7 +281,7 @@ class PrimeField:
         a = self.coerce(a)
         if a.value == 0:
             raise NotInvertibleError(a)
-        return FpElement(pow(a.value, self.p - 2, self.p), self.p)
+        return FpElement(pow(a.value, -1, self.p), self.p)
 
     def is_invertible(self, a) -> bool:
         return self.coerce(a).value != 0

@@ -66,9 +66,12 @@ def ring_from_json(obj) -> RingContext:
     if obj == "rational":
         return RationalRing()
     if isinstance(obj, dict) and set(obj) == {"prime"}:
+        p = obj["prime"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise SpecFormatError(f"prime must be a JSON integer, got {p!r}")
         try:
-            return PrimeField(int(obj["prime"]))
-        except (ValueError, TypeError) as exc:
+            return PrimeField(p)
+        except ValueError as exc:
             raise SpecFormatError(str(exc)) from exc
     raise SpecFormatError(f'ring must be "rational" or {{"prime": p}}, got {obj!r}')
 
@@ -106,6 +109,8 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
         xs, ys = obj["xs"], obj["ys"]
     except KeyError as exc:
         raise SpecFormatError(f"spec is missing {exc}") from exc
+    if not (isinstance(xs, list) and isinstance(ys, list)) or any(isinstance(v, bool) for v in xs + ys):
+        raise SpecFormatError("xs and ys must be JSON arrays of numbers or strings")
     kind = obj.get("kind", "cauchy")
     if "ring" in obj:
         ctx = ring_from_json(obj["ring"])

@@ -237,3 +237,12 @@ def test_criterion_10_verify_determinism():
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+@criterion(11, "closed-form inverse = elimination inverse at n = 16..32")
+def test_criterion_11_inverse_large_n():
+    p31 = PrimeField(2**31 - 1)
+    specs = [hilbert_spec(n) for n in (16, 24, 32)]
+    specs.append(cauchy.CauchySpec(range(1, 33), range(33, 65), p31))
+    for spec in specs:
+        assert cauchy.inverse_closed(spec) == cauchy.build(spec).inverse()

@@ -169,11 +169,23 @@ class TestInputErrors:
             '{"kind":"min","xs":[],"ys":[]}',
             '{"ring":{"prime":3317044064679887385961981},"xs":["1"],"ys":["2"]}',
             '{"ring":{"prime":[101]},"xs":["1"],"ys":["2"]}',
+            '{"xs":"12","ys":"34"}',
+            '{"xs":[true],"ys":["2"]}',
+            '{"kind":"min","xs":"13","ys":"24"}',
+            '{"ring":{"prime":101.9},"xs":["1"],"ys":["2"]}',
         ],
     )
     def test_unusable_spec_is_one_error_line(self, capsys, spec):
         command = "min-invsum" if '"min"' in spec else "det"
         code, out, err = run(capsys, command, spec)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_non_utf8_spec_file(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "det", str(path))
         assert code == EXIT_INPUT
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -193,12 +205,20 @@ class TestVerify:
         assert first == second
 
     def test_seed_42_output_is_pinned(self, capsys):
-        _, out, _ = run(capsys, "verify", "--seed", "42")
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "1e20a0237e677280be4dc288734c33e0f8a5e220b77411dfd4c5cbf3f25dd797", (
-            "`cauchykit verify --seed 42` stdout changed; diff it against the output "
-            "of the parent commit to see which report moved"
-        )
+        pins = [
+            (["--seed", "42"], "1e20a0237e677280be4dc288734c33e0f8a5e220b77411dfd4c5cbf3f25dd797"),
+            (
+                ["--seed", "7", "--trials", "30", "--n", "8", "--format", "csv"],
+                "4afb1df5ae12b9ea6f8507e0b43ac0298c12fd5ff395448b7f9043c314f6a849",
+            ),
+        ]
+        for argv, pinned in pins:
+            _, out, _ = run(capsys, "verify", *argv)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == pinned, (
+                f"`cauchykit verify {' '.join(argv)}` stdout changed; diff it against the "
+                "output of the parent commit to see which report moved"
+            )
 
     def test_passes_and_reports(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "1", "--trials", "3", "--n", "3")

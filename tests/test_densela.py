@@ -198,6 +198,20 @@ class TestInverse:
             assert inv * a == Matrix.identity(n, ctx)
             done += 1
 
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_elimination_agrees_with_adjugate_route(self, ctx):
+        rng = random.Random(41)
+        done = 0
+        while done < 12:
+            n = rng.randint(1, 5)
+            a = rand_matrix(rng, ctx, n, n)
+            det = a.det_cofactor()
+            if not ctx.is_invertible(det):
+                continue
+            scale = ctx.inv(det)
+            assert a.inverse().entries == tuple(scale * e for e in a.adjugate().entries)
+            done += 1
+
 
 class TestSums:
     def test_entry_sum(self):
