@@ -49,9 +49,11 @@ class CauchySpec:
 
     Construction validates all n^2 pairwise sums up front and fails fast
     with the offending (i, j) rather than deep inside a product later.
+    A spec is immutable after construction: :func:`det_closed` and
+    :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``).
     """
 
-    __slots__ = ("xs", "ys", "ctx")
+    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -67,6 +69,8 @@ class CauchySpec:
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
+        self._det = None
+        self._verdict = None
 
     @property
     def n(self) -> int:
@@ -104,7 +108,7 @@ class InvertibilityVerdict:
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j)."""
     ctx = spec.ctx
-    entries = [ctx.inv(x + y) for x in spec.xs for y in spec.ys]
+    entries = ctx.inv_all(x + y for x in spec.xs for y in spec.ys)
     return Matrix(spec.n, spec.n, entries, ctx)
 
 
@@ -115,30 +119,32 @@ def det_closed(spec: CauchySpec) -> Scalar:
 
     Empty products are 1, so n = 1 gives 1/(x_1 + y_1).
     """
-    ctx = spec.ctx
-    num = ctx.one
-    n = spec.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = num * (spec.xs[i] - spec.xs[j]) * (spec.ys[i] - spec.ys[j])
-    den = ctx.one
-    for x in spec.xs:
-        for y in spec.ys:
-            den = den * (x + y)
-    return num * ctx.inv(den)
+    if spec._det is None:
+        ctx = spec.ctx
+        num = ctx.one
+        n = spec.n
+        for i in range(n):
+            for j in range(i + 1, n):
+                num = num * (spec.xs[i] - spec.xs[j]) * (spec.ys[i] - spec.ys[j])
+        den = ctx.one
+        for x in spec.xs:
+            for y in spec.ys:
+                den = den * (x + y)
+        spec._det = num * ctx.inv(den)
+    return spec._det
 
 
 def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     """Invertibility test without computing anything matrix-shaped: the
     matrix is invertible iff the x's are pairwise strongly distinct and the
     y's are pairwise strongly distinct (differences invertible)."""
-    ctx = spec.ctx
-    for name, vec in (("x", spec.xs), ("y", spec.ys)):
-        for i in range(len(vec)):
-            for j in range(i + 1, len(vec)):
-                if not ctx.is_invertible(vec[i] - vec[j]):
-                    return InvertibilityVerdict(False, (name, i, j))
-    return InvertibilityVerdict(True)
+    if spec._verdict is None:
+        ctx = spec.ctx
+        witness = next(((name, i, j) for name, vec in (("x", spec.xs), ("y", spec.ys))
+                        for i in range(len(vec)) for j in range(i + 1, len(vec))
+                        if not ctx.is_invertible(vec[i] - vec[j])), None)
+        spec._verdict = InvertibilityVerdict(witness is None, witness)
+    return spec._verdict
 
 
 def _require_invertible(spec: CauchySpec):
@@ -191,13 +197,15 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
 def inverse_closed(spec: CauchySpec) -> Matrix:
     """Whole inverse in O(n^2) scalar operations (plus bignum growth):
     diag(b) * C^T * diag(a), so each entry costs two multiplications and
-    one pairwise-sum inversion."""
+    one pairwise-sum inverse (all n^2 from one ``ctx.inv_all`` call)."""
     _require_invertible(spec)
-    ctx, xs, ys = spec.ctx, spec.xs, spec.ys
-    a = [_scale(xs, ys, j, ctx.one, ctx.inv) for j in range(spec.n)]
-    b = [_scale(ys, xs, i, ctx.one, ctx.inv) for i in range(spec.n)]
-    entries = [b_i * a_j * ctx.inv(x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
-    return Matrix(spec.n, spec.n, entries, ctx)
+    ctx, xs, ys, n = spec.ctx, spec.xs, spec.ys, spec.n
+    a = [_scale(xs, ys, j, ctx.one, ctx.inv) for j in range(n)]
+    b = [_scale(ys, xs, i, ctx.one, ctx.inv) for i in range(n)]
+    entries = ctx.inv_all(x + y for y in ys for x in xs)  # scaled in place
+    for k, inv_sum in enumerate(entries):
+        entries[k] = b[k // n] * a[k % n] * inv_sum
+    return Matrix(n, n, entries, ctx)
 
 
 def inverse_entry_sum(spec: CauchySpec) -> Scalar:

@@ -33,7 +33,7 @@ def _parse_ring(text: str) -> RingContext:
         return RationalRing()
     if text.startswith("prime:"):
         try:
-            return PrimeField(int(text.split(":", 1)[1]))
+            return PrimeField(int(verify._bounded_scalar_text(text.split(":", 1)[1])))
         except ValueError as exc:
             raise verify.SpecFormatError(f"bad ring {text!r}: {exc}") from exc
     raise verify.SpecFormatError(f'ring must be "rational" or "prime:P", got {text!r}')
@@ -62,8 +62,9 @@ def _read_spec_arg(arg: str) -> dict:
         else:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # JSON integers are scalar text too, bounded before int() parses them
+        return json.loads(text, parse_int=lambda s: int(verify._bounded_scalar_text(s)))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
 
 
@@ -320,14 +321,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Exact results may pass Python's 4300-digit int-to-str limit (absent
+    # before 3.10.7): lift it while the command runs, as spec parsing bounds
+    # scalar text itself, and restore it after, since main also runs in-process.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
     try:
         return args.handler(args)
-    except CauchyKitError as exc:
+    except (CauchyKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -224,6 +224,10 @@ class RationalRing:
             raise NotInvertibleError(a)
         return 1 / a
 
+    def inv_all(self, values) -> list:
+        """One by one: a Fraction inverse is a swap, and batching would grow bignums."""
+        return [self.inv(a) for a in values]
+
     def is_invertible(self, a) -> bool:
         return self.coerce(a) != 0
 
@@ -282,6 +286,25 @@ class PrimeField:
         if a.value == 0:
             raise NotInvertibleError(a)
         return FpElement(pow(a.value, -1, self.p), self.p)
+
+    def inv_all(self, values) -> list:
+        """The inverses of ``values`` with one modular inversion (Montgomery's
+        trick, Math. Comp. 48, 1987): prefix products, one ``pow``, then a
+        backward sweep. A zero anywhere raises NotInvertibleError, as inv does."""
+        p = self.p
+        vs, out, acc = [], [], 1
+        for a in values:
+            v = self.coerce(a).value
+            if v == 0:
+                raise NotInvertibleError(FpElement(0, p))
+            vs.append(v)
+            out.append(acc)  # the prefix product v_0 ... v_{k-1}, replaced below
+            acc = acc * v % p
+        acc = pow(acc, -1, p)  # 1/(v_0 ... v_k) at the top of each step below
+        for k in range(len(vs) - 1, -1, -1):  # popping vs frees it as out fills
+            out[k] = FpElement(acc * out[k], p)
+            acc = acc * vs.pop() % p
+        return out
 
     def is_invertible(self, a) -> bool:
         return self.coerce(a).value != 0

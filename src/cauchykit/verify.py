@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -26,6 +27,21 @@ from .ring import (
 
 class SpecFormatError(CauchyKitError):
     """The JSON spec is malformed or inconsistent."""
+
+
+# Scalar text is bounded before it is parsed: "1e999999999" would make
+# Fraction build 10**999999999, and int() of a long digit string is quadratic.
+_MAX_SCALAR_TEXT = 4300  # characters, and the size of a decimal exponent
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _bounded_scalar_text(text: str) -> str:
+    if len(text) > _MAX_SCALAR_TEXT:
+        raise SpecFormatError(f"scalar text longer than {_MAX_SCALAR_TEXT} characters")
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > _MAX_SCALAR_TEXT:
+        raise SpecFormatError(f"decimal exponent beyond +-{_MAX_SCALAR_TEXT} in {text!r}")
+    return text
 
 
 @dataclass
@@ -111,6 +127,9 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
         raise SpecFormatError(f"spec is missing {exc}") from exc
     if not (isinstance(xs, list) and isinstance(ys, list)) or any(isinstance(v, bool) for v in xs + ys):
         raise SpecFormatError("xs and ys must be JSON arrays of numbers or strings")
+    for v in xs + ys:
+        if isinstance(v, str):
+            _bounded_scalar_text(v)
     kind = obj.get("kind", "cauchy")
     if "ring" in obj:
         ctx = ring_from_json(obj["ring"])

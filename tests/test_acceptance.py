@@ -121,7 +121,7 @@ def test_criterion_2_inverse_entry_sum():
     assert cauchy.inverse_entry_sum(anchor) == 11
 
 
-@criterion(3, "closed-form inverse = adjugate/det inverse, entrywise")
+@criterion(3, "closed-form inverse = Gauss-Jordan inverse, entrywise")
 def test_criterion_3_inverse_entrywise():
     for spec, closed_inv, oracle_inv in inverse_results():
         assert closed_inv == oracle_inv

@@ -157,7 +157,7 @@ def candidate_xx(spec, i, j):
 
 class TestInverseEntryFormulaResolution:
     """The per-entry closed form has two circulating variants differing in
-    one numerator factor. Resolve them against the adjugate/determinant
+    one numerator factor. Resolve them against the Gauss-Jordan oracle
     inverse before trusting anything."""
 
     def test_mixed_form_matches_oracle(self):
@@ -296,3 +296,52 @@ class TestBorderedDet:
         for _ in range(30):
             spec = rand_spec(rng, ctx, rng.randint(1, 5))
             assert bordered_det_closed(spec) == bordered_matrix(spec).det_fast()
+
+
+class TestPerSpecMemo:
+    def count_field_inversions(self, monkeypatch):
+        calls = []
+        inv = PrimeField.inv
+
+        def counting(self, a):
+            calls.append(a)
+            return inv(self, a)
+
+        monkeypatch.setattr(PrimeField, "inv", counting)
+        return calls
+
+    def test_determinant_is_computed_once(self, monkeypatch):
+        calls = self.count_field_inversions(monkeypatch)
+        spec = CauchySpec([1, 2, 3], [4, 5, 6], F101)
+        det = det_closed(spec)
+        assert adjugate_entry_sum_closed(spec) == spec.weight_sum() * det
+        assert bordered_det_closed(spec) == -(spec.weight_sum() * det)
+        assert len(calls) == 1
+
+    def test_nothing_leaks_across_specs(self, monkeypatch):
+        self.count_field_inversions(monkeypatch)
+        first = CauchySpec([1, 2, 3], [4, 5, 6], F101)
+        second = CauchySpec([1, 2, 3], [4, 5, 7], F101)
+        for spec in (first, second):
+            det = build(spec).det_fast()
+            assert det_closed(spec) == det
+            assert adjugate_entry_sum_closed(spec) == spec.weight_sum() * det
+            assert bordered_det_closed(spec) == -(spec.weight_sum() * det)
+        assert det_closed(first) != det_closed(second)
+
+    def test_singular_spec_raises_every_time(self):
+        spec = CauchySpec([1, 1], [3, 5], RING)
+        for _ in range(2):
+            with pytest.raises(NotInvertibleError, match="strongly distinct"):
+                inverse_closed(spec)
+        assert not is_invertible_spec(spec).invertible
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_batch_inversion_keeps_entries(self, ctx):
+        rng = random.Random(29)
+        for _ in range(20):
+            spec = rand_spec(rng, ctx, rng.randint(1, 6), invertible=True)
+            n, xs, ys = spec.n, spec.xs, spec.ys
+            assert build(spec).to_rows() == [[ctx.inv(xs[i] + ys[j]) for j in range(n)] for i in range(n)]
+            inv = inverse_closed(spec)
+            assert inv.to_rows() == [[inverse_entry_closed(spec, i, j) for j in range(n)] for i in range(n)]

@@ -1,9 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import cauchykit
+from cauchykit.cauchy import CauchySpec, det_closed
 from cauchykit.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, _exit_code_for, main
+from cauchykit.ring import RationalRing
 from cauchykit.verify import VerificationReport
 
 EXAMPLE = '{"xs":["1","2"],"ys":["3","5"]}'
@@ -173,6 +184,11 @@ class TestInputErrors:
             '{"xs":[true],"ys":["2"]}',
             '{"kind":"min","xs":"13","ys":"24"}',
             '{"ring":{"prime":101.9},"xs":["1"],"ys":["2"]}',
+            '{"xs":["1e999999999"],"ys":["1"]}',
+            '{"kind":"min","xs":["1E-4301"],"ys":["1"]}',
+            '{"xs":["' + "1" * 4301 + '"],"ys":["1"]}',
+            '{"xs":[' + "1" * 5000 + '],"ys":["1"]}',
+            '{"xs":' + "[" * 100000 + "]" * 100000 + ',"ys":["1"]}',
         ],
     )
     def test_unusable_spec_is_one_error_line(self, capsys, spec):
@@ -189,6 +205,23 @@ class TestInputErrors:
         assert code == EXIT_INPUT
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit before 3.10.7")
+    def test_exact_result_past_the_int_str_limit(self, capsys):
+        # the determinant has more than 4300 digits, Python's default limit
+        # for int-to-str conversion, which main lifts only while it runs
+        limit = sys.get_int_max_str_digits()
+        spec = {"xs": [str(v) for v in range(1, 81)], "ys": [str(v) for v in range(81, 161)]}
+        code, out, err = run(capsys, "det", json.dumps(spec), "--format", "text")
+        assert (code, err) == (EXIT_OK, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            det = det_closed(CauchySpec(range(1, 81), range(81, 161), RationalRing()))
+            assert out.strip() == RationalRing().render(det)
+            assert len(str(det.denominator)) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -219,6 +252,17 @@ class TestVerify:
                 f"`cauchykit verify {' '.join(argv)}` stdout changed; diff it against the "
                 "output of the parent commit to see which report moved"
             )
+
+    def test_python_dash_m(self):
+        src = str(Path(cauchykit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-m", "cauchykit", "verify", "--seed", "42"],
+            capture_output=True, check=True, env=env,
+        ).stdout
+        assert hashlib.sha256(out).hexdigest() == (
+            "1e20a0237e677280be4dc288734c33e0f8a5e220b77411dfd4c5cbf3f25dd797"
+        )
 
     def test_passes_and_reports(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "1", "--trials", "3", "--n", "3")
@@ -287,3 +331,55 @@ class TestExitCodeMapping:
         ok = VerificationReport("x", "1", "1", True, {})
         bad = VerificationReport("x", "1", "2", False, {})
         assert _exit_code_for([ok, bad]) == EXIT_IDENTITY
+
+
+# Spec JSON objects for the exit-code fuzz test: usable specs with large
+# and exponent-form scalars, specs with hostile scalars and rings, and
+# arbitrary JSON in place of any part.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+digits = st.text("0123456789", min_size=1, max_size=6)
+usable_scalars = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]), digits, digits),
+    st.builds("{}e{}".format, st.sampled_from(["1", "-2.5", ".5", "0"]), st.integers(-5000, 5000)),
+)
+any_scalars = usable_scalars | st.floats() | st.booleans() | st.text(max_size=8) | st.builds(
+    "{}E{}".format, digits, st.sampled_from(["999999999", "-999999999", "4300", "1_0", "+7"])
+)
+rings = st.one_of(
+    st.sampled_from(["rational", {"prime": 101}, {"prime": 2**31 - 1}, {"prime": 2**61 - 1}]),
+    st.builds(dict, prime=st.sampled_from([2, 100, 0, -7, 101.0, True, "101", 10**30 + 57])),
+    json_values,
+)
+
+
+def usable_spec(n):
+    vector = st.lists(usable_scalars, min_size=n, max_size=n)
+    return st.fixed_dictionaries(
+        {"xs": vector, "ys": vector}, optional={"kind": st.sampled_from(["cauchy", "min"]), "ring": rings}
+    )
+
+
+specs = st.one_of(
+    st.integers(1, 4).flatmap(usable_spec),
+    st.fixed_dictionaries(
+        {"xs": st.lists(any_scalars, max_size=4), "ys": st.lists(any_scalars, max_size=4)},
+        optional={"kind": st.sampled_from(["cauchy", "min", "other"]) | json_values, "ring": rings},
+    ),
+    st.dictionaries(st.sampled_from(["xs", "ys", "kind", "ring"]) | st.text(max_size=4), json_values),
+)
+
+
+@settings(max_examples=80, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs, command=st.sampled_from(["det", "inv", "build", "invsum", "adjsum", "border", "min-det"]))
+def test_exit_code_contract_fuzz(spec, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, json.dumps(spec)])
+    assert code in (EXIT_OK, EXIT_IDENTITY, EXIT_INPUT)
+    if code == EXIT_INPUT:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

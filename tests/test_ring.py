@@ -144,6 +144,38 @@ class TestPrimeField:
             a / FpElement(0, 101)
 
 
+class TestInvAll:
+    @pytest.mark.parametrize("ctx", (RING, F101), ids=("rational", "f101"))
+    def test_equals_inv_one_by_one(self, ctx):
+        rng = random.Random(5)
+        for size in (1, 2, 7, 40):
+            values = [ctx.coerce(rng.randint(1, 100)) * (-1) ** rng.randint(0, 1) for _ in range(size)]
+            if ctx is RING:
+                values = [v / rng.randint(1, 9) for v in values]
+            assert ctx.inv_all(values) == [ctx.inv(v) for v in values]
+
+    def test_large_prime(self):
+        field = PrimeField(2**31 - 1)
+        values = list(range(2**31 - 40, 2**31 - 1)) + [1, 2, 3]
+        assert field.inv_all(values) == [field.inv(v) for v in values]
+
+    @pytest.mark.parametrize("ctx", (RING, F101), ids=("rational", "f101"))
+    @pytest.mark.parametrize("position", (0, 2, 4))
+    def test_zero_anywhere_raises(self, ctx, position):
+        values = [ctx.coerce(v) for v in (3, 5, 7, 11, 13)]
+        values[position] = ctx.zero
+        with pytest.raises(NotInvertibleError):
+            ctx.inv_all(values)
+
+    def test_multiple_of_p_is_zero(self):
+        with pytest.raises(NotInvertibleError):
+            F101.inv_all([1, 202, 3])
+
+    @pytest.mark.parametrize("ctx", (RING, F101), ids=("rational", "f101"))
+    def test_empty(self, ctx):
+        assert ctx.inv_all([]) == []
+
+
 class TestContextMixing:
     def test_mixed_primes(self):
         with pytest.raises(ContextMismatchError):
