@@ -7,15 +7,18 @@ means some identity check failed, 2 means the input was unusable.
 
 Specs are JSON: {"kind": "cauchy"|"min", "ring": "rational"|{"prime": p},
 "xs": [...], "ys": [...]}. The SPEC argument is a file path, ``-`` for
-stdin, or the JSON text itself when it starts with ``{``.
+stdin, or the JSON text itself when it starts with ``{``, ``[`` or ``"``
+or is a JSON scalar that names no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
+import reprlib
 import sys
 
 from . import canary as canary_mod
@@ -35,8 +38,8 @@ def _parse_ring(text: str) -> RingContext:
         try:
             return PrimeField(int(verify._bounded_scalar_text(text.split(":", 1)[1])))
         except ValueError as exc:
-            raise verify.SpecFormatError(f"bad ring {text!r}: {exc}") from exc
-    raise verify.SpecFormatError(f'ring must be "rational" or "prime:P", got {text!r}')
+            raise verify.SpecFormatError(f"bad ring {reprlib.repr(text)}: {exc}") from exc
+    raise verify.SpecFormatError(f'ring must be "rational" or "prime:P", got {reprlib.repr(text)}')
 
 
 def _positive_int(text: str) -> int:
@@ -53,17 +56,29 @@ def _size_bound(text: str) -> int:
     return v
 
 
-def _read_spec_arg(arg: str) -> dict:
+def _loads(text: str):
+    # JSON integers are scalar text too, bounded before int() parses them
+    return json.loads(text, parse_int=lambda s: int(verify._bounded_scalar_text(s)))
+
+
+def _read_spec_arg(arg: str):
+    """The parsed JSON of a SPEC argument, of any type: spec_from_json
+    rejects one that is not an object."""
     try:
-        if arg.lstrip().startswith("{"):
-            text = arg
-        elif arg == "-":
-            text = sys.stdin.read()
-        else:
+        if arg.lstrip().startswith(("{", "[", '"')):
+            return _loads(arg)
+        if arg == "-":
+            return _loads(sys.stdin.read())
+        try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        # JSON integers are scalar text too, bounded before int() parses them
-        return json.loads(text, parse_int=lambda s: int(verify._bounded_scalar_text(s)))
+        except FileNotFoundError:
+            try:  # a JSON scalar such as 42 that names no file is taken as JSON
+                return _loads(arg)
+            except json.JSONDecodeError:
+                pass
+            raise
+        return _loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
 
@@ -248,6 +263,7 @@ def cmd_canary(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # built once per process; parse_args makes a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cauchykit",

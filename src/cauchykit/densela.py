@@ -2,23 +2,28 @@
 
 This is the oracle layer: deliberately brute-force code that the closed
 forms elsewhere in the package are tested against. Determinants come in
-two independent flavors (first-row cofactor expansion, and Gaussian
-elimination over the field) so that no identity is ever checked against a
-single algorithm. The inverse is Gauss-Jordan elimination on [A | I]; the
-adjugate, built from minors, is its independent cross-check.
+three independent routes: Gaussian elimination over the field, Berkowitz's
+division-free characteristic polynomial, and first-row cofactor expansion
+(n <= 8). Verify checks determinants by elimination and adjugates by the
+characteristic polynomial; the tests hold all three routes together. The
+inverse is Gauss-Jordan elimination on [A | I]; the adjugate, by
+Cayley-Hamilton on the characteristic polynomial, shares no code with it.
 
 Matrices are immutable. All indices are 0-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .ring import (
     CauchyKitError,
     ContextMismatchError,
     NotInvertibleError,
+    PrimeField,
     RingContext,
     Scalar,
 )
@@ -108,16 +113,8 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for k in range(other.cols):
-                acc = self.ctx.zero
-                for j in range(self.cols):
-                    acc = acc + ai[j] * b[j][k]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out, self.ctx)
+        prod = _matmul(self.to_rows(), other.to_rows())
+        return Matrix(self.rows, other.cols, [e for row in prod for e in row], self.ctx)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -157,31 +154,49 @@ class Matrix:
         self._require_square("det_fast")
         return _eliminate(self.to_rows(), self.ctx)
 
-    def _minor(self, drop_row: int, drop_col: int) -> "Matrix":
-        sub = [
-            self.entries[i * self.cols + j]
-            for i in range(self.rows)
-            if i != drop_row
-            for j in range(self.cols)
-            if j != drop_col
-        ]
-        return Matrix(self.rows - 1, self.cols - 1, sub, self.ctx)
+    def charpoly(self) -> list:
+        """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
+        by Berkowitz's algorithm: no division, valid for singular A."""
+        self._require_square("charpoly")
+        a, d = _lift(self.to_rows(), self.ctx)
+        return [_lower(self.ctx, c, d**k) for k, c in enumerate(_berkowitz(a))]
+
+    def det_berkowitz(self) -> Scalar:
+        """Determinant as (-1)^n c_n of the characteristic polynomial, a
+        route that shares nothing with elimination."""
+        c_n = self.charpoly()[-1]
+        return c_n if self.rows % 2 == 0 else -c_n
 
     def adjugate(self) -> "Matrix":
-        """Adjugate: entry (i, j) is (-1)^(i+j) times the determinant of the
-        matrix with row j and column i removed. For the 1x1 matrix the empty
-        minor has determinant 1, so the adjugate is [[1]]. Satisfies
-        A * adj(A) = adj(A) * A = det(A) * I in any commutative ring."""
+        """Adjugate by Cayley-Hamilton: adj(A) = (-1)^(n-1) (A^(n-1) + c_1
+        A^(n-2) + ... + c_(n-1) I), evaluated by Horner. For the 1x1 matrix
+        this is [[1]]. Satisfies A * adj(A) = adj(A) * A = det(A) * I in any
+        commutative ring, singular A included."""
         self._require_square("adjugate")
         n = self.rows
-        if n == 1:
-            return Matrix(1, 1, [self.ctx.one], self.ctx)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                d = self._minor(j, i).det_fast()
-                out.append(d if (i + j) % 2 == 0 else -d)
-        return Matrix(n, n, out, self.ctx)
+        a, d = _lift(self.to_rows(), self.ctx)
+        c = _berkowitz(a)
+        b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- A B + c_k I
+        for k in range(1, n):
+            b = _matmul(a, b)
+            for i in range(n):
+                b[i][i] += c[k]
+        sign, scale = (-1) ** (n - 1), d ** (n - 1)
+        return Matrix(n, n, [_lower(self.ctx, sign * e, scale) for row in b for e in row], self.ctx)
+
+    def adjugate_entry_sum(self) -> Scalar:
+        """1^T adj(A) 1 = (-1)^(n-1) sum_{k<n} c_(n-1-k) 1^T A^k 1, from the
+        characteristic polynomial and the Krylov vectors A^k 1: O(n^3) past
+        the O(n^4) polynomial, with no adjugate built."""
+        self._require_square("adjugate_entry_sum")
+        n = self.rows
+        a, d = _lift(self.to_rows(), self.ctx)
+        c = _berkowitz(a)
+        v, acc = [1] * n, 0  # v = A^k 1
+        for k in range(n):
+            acc += c[n - 1 - k] * sum(v)
+            v = [_dot(row, v) for row in a]
+        return _lower(self.ctx, (-1) ** (n - 1) * acc, d ** (n - 1))
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3).
@@ -231,6 +246,57 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
         term = a * _det_expand(sub, ctx)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def _dot(u, v):
+    """sum u_i v_i over the shorter of the two, in any ring (or the integers)."""
+    acc = 0
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
+
+
+def _matmul(a: list[list], b: list[list]) -> list[list]:
+    cols = list(zip(*b))
+    return [[_dot(ai, col) for col in cols] for ai in a]
+
+
+def _lift(rows: list[list], ctx: RingContext) -> tuple[list[list], int]:
+    """The integer matrix D*A for the rows of A, and its scale D: over Q the
+    least common denominator of the entries, over F_p the residues with
+    D = 1. Division-free work on D*A maps back to A through the ring, since
+    c_k(DA) = D^k c_k(A) and adj(DA) = D^(n-1) adj(A); integers skip the
+    gcd of every Fraction operation and the object of every residue."""
+    if isinstance(ctx, PrimeField):
+        return [[e.value for e in row] for row in rows], 1
+    d = math.lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (d // e.denominator) for e in row] for row in rows], d
+
+
+def _lower(ctx: RingContext, v: int, scale: int) -> Scalar:
+    """The ring element v / scale, for integer work on a lift of scale D^k."""
+    return Fraction(v, scale) if scale != 1 else ctx.coerce(v)
+
+
+def _berkowitz(rows: list[list]) -> list:
+    """Characteristic polynomial [1, c_1, ..., c_n] of the square integer
+    ``rows`` by Berkowitz's algorithm (Inf. Process. Lett. 18, 1984): O(n^4)
+    operations with no division and no pivoting. The polynomial of each
+    leading (r+1) block is a lower-triangular Toeplitz matrix times that of
+    the leading r block; the Toeplitz column is 1, -a, -R S, -R A S, ...,
+    -R A^(r-1) S, where A is the leading r block, S the column above the
+    new diagonal entry a and R the row left of it."""
+    poly = [1]
+    for r, row_r in enumerate(rows):
+        lead = rows[:r]  # _dot reads only the first r entries of each row
+        toeplitz = [1, -row_r[r]]
+        v = [row[r] for row in lead]  # A^m S
+        for m in range(r):
+            if m:
+                v = [_dot(row, v) for row in lead]
+            toeplitz.append(-_dot(row_r, v))
+        poly = [_dot(toeplitz[k::-1], poly) for k in range(r + 2)]
+    return poly
 
 
 def _eliminate(m: list[list], ctx: RingContext, jordan: bool = False) -> Scalar:
@@ -330,7 +396,7 @@ def border_det_general(a: Matrix) -> tuple[Scalar, Scalar]:
     are returned so the caller can verify rather than trust.
     """
     b = border_with_ones(a)
-    return b.det_fast(), a.adjugate().entry_sum()
+    return b.det_fast(), a.adjugate_entry_sum()
 
 
 def matrix_to_json(a: Matrix) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,7 +41,7 @@ def _bounded_scalar_text(text: str) -> str:
         raise SpecFormatError(f"scalar text longer than {_MAX_SCALAR_TEXT} characters")
     m = _EXPONENT.search(text)
     if m and abs(int(m.group(1))) > _MAX_SCALAR_TEXT:
-        raise SpecFormatError(f"decimal exponent beyond +-{_MAX_SCALAR_TEXT} in {text!r}")
+        raise SpecFormatError(f"decimal exponent beyond +-{_MAX_SCALAR_TEXT} in {reprlib.repr(text)}")
     return text
 
 
@@ -84,12 +85,12 @@ def ring_from_json(obj) -> RingContext:
     if isinstance(obj, dict) and set(obj) == {"prime"}:
         p = obj["prime"]
         if not isinstance(p, int) or isinstance(p, bool):
-            raise SpecFormatError(f"prime must be a JSON integer, got {p!r}")
+            raise SpecFormatError(f"prime must be a JSON integer, got {reprlib.repr(p)}")
         try:
             return PrimeField(p)
         except ValueError as exc:
             raise SpecFormatError(str(exc)) from exc
-    raise SpecFormatError(f'ring must be "rational" or {{"prime": p}}, got {obj!r}')
+    raise SpecFormatError(f'ring must be "rational" or {{"prime": p}}, got {reprlib.repr(obj)}')
 
 
 def spec_to_json(spec: Union[cauchy.CauchySpec, minmat.MinSpec]) -> dict:
@@ -141,7 +142,7 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
         if negate_ys:
             raise SpecFormatError("the minus convention applies to cauchy specs only")
     elif kind != "cauchy":
-        raise SpecFormatError(f'kind must be "cauchy" or "min", got {kind!r}')
+        raise SpecFormatError(f'kind must be "cauchy" or "min", got {reprlib.repr(kind)}')
     # bad scalar text, "1/0", empty or mismatched vectors
     try:
         if kind == "min":
@@ -259,7 +260,7 @@ IDENTITIES = {
     ),
     "adjugate_entry_sum": (
         lambda s: cauchy.adjugate_entry_sum_closed(s),
-        lambda s: cauchy.build(s).adjugate().entry_sum(),
+        lambda s: cauchy.build(s).adjugate_entry_sum(),
         str,
     ),
     "bordered_det": (

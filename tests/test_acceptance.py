@@ -246,3 +246,12 @@ def test_criterion_11_inverse_large_n():
     specs.append(cauchy.CauchySpec(range(1, 33), range(33, 65), p31))
     for spec in specs:
         assert cauchy.inverse_closed(spec) == cauchy.build(spec).inverse()
+
+
+@criterion(12, "Berkowitz determinant = elimination determinant, n up to 24, singular included")
+def test_criterion_12_berkowitz_det():
+    p31 = PrimeField(2**31 - 1)
+    specs = [hilbert_spec(16), hilbert_spec(24), cauchy.CauchySpec(range(1, 25), range(25, 49), p31)]
+    for spec in specs + singular_heavy_specs():
+        m = cauchy.build(spec)
+        assert m.det_berkowitz() == m.det_fast()

@@ -164,6 +164,11 @@ class TestInputErrors:
         code, _, _ = run(capsys, "det", EXAMPLE, "--ring", "octonions")
         assert code == EXIT_INPUT
 
+    def test_long_ring_flag_is_echoed_bounded(self, capsys):
+        code, _, err = run(capsys, "det", EXAMPLE, "--ring", "x" * 10000)
+        assert code == EXIT_INPUT
+        assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) <= 200
+
     def test_minus_convention_on_min_spec(self, capsys):
         code, _, _ = run(capsys, "min-det", MIN_ZERO, "--minus-convention")
         assert code == EXIT_INPUT
@@ -189,6 +194,8 @@ class TestInputErrors:
             '{"xs":["' + "1" * 4301 + '"],"ys":["1"]}',
             '{"xs":[' + "1" * 5000 + '],"ys":["1"]}',
             '{"xs":' + "[" * 100000 + "]" * 100000 + ',"ys":["1"]}',
+            pytest.param('{"ring":[' + ",".join(["1"] * 10000) + '],"xs":["1"],"ys":["1"]}', id="ring-list-10000"),
+            pytest.param('{"kind":"' + "k" * 10000 + '","xs":["1"],"ys":["1"]}', id="kind-str-10000"),
         ],
     )
     def test_unusable_spec_is_one_error_line(self, capsys, spec):
@@ -197,6 +204,19 @@ class TestInputErrors:
         assert code == EXIT_INPUT
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.rstrip("\n")) <= 200
+
+    @pytest.mark.parametrize("spec", ["[1]", '"abc"', "42"])
+    def test_non_object_spec_says_so(self, capsys, spec):
+        code, out, err = run(capsys, "det", spec)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: spec must be a JSON object")
+
+    def test_file_named_like_a_json_scalar_loads(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "42").write_text(EXAMPLE)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "det", "42", "--format", "text")
+        assert (code, out.strip()) == (EXIT_OK, "1/420")
 
     def test_non_utf8_spec_file(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
@@ -252,6 +272,18 @@ class TestVerify:
                 f"`cauchykit verify {' '.join(argv)}` stdout changed; diff it against the "
                 "output of the parent commit to see which report moved"
             )
+
+    def test_calls_in_one_process_share_no_state(self, capsys):
+        # the parser is built once per process; each call parses afresh
+        src = str(Path(cauchykit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in (["--seed", "1", "--format", "text"], ["--seed", "2", "--format", "csv"]):
+            _, out, _ = run(capsys, "verify", *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cauchykit", "verify", *argv],
+                capture_output=True, check=True, env=env,
+            ).stdout
+            assert out.encode() == fresh
 
     def test_python_dash_m(self):
         src = str(Path(cauchykit.__file__).resolve().parents[1])

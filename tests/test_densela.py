@@ -169,6 +169,64 @@ class TestAdjugate:
             assert adj * a == det_i
 
 
+def minors_adjugate(a):
+    """Adjugate entry by entry: (-1)^(i+j) times the cofactor determinant of
+    A with row j and column i removed; [[1]] for n = 1."""
+    n, rows = a.rows, a.to_rows()
+    if n == 1:
+        return Matrix(1, 1, [1], a.ctx)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            minor = [[e for c, e in enumerate(row) if c != i] for r, row in enumerate(rows) if r != j]
+            d = Matrix.from_rows(minor, a.ctx).det_cofactor()
+            out.append(d if (i + j) % 2 == 0 else -d)
+    return Matrix(n, n, out, a.ctx)
+
+
+def rand_square(rng, ctx, n, singular):
+    """A random n x n matrix; with ``singular``, its last row repeats the first."""
+    a = rand_matrix(rng, ctx, n, n)
+    if not singular or n == 1:
+        return a
+    rows = a.to_rows()
+    rows[-1] = list(rows[0])
+    return Matrix.from_rows(rows, ctx)
+
+
+class TestBerkowitz:
+    def test_hand_charpoly(self):
+        # det(tI - [[1, 2], [3, 4]]) = t^2 - 5t - 2
+        assert Matrix.from_rows([[1, 2], [3, 4]], RING).charpoly() == [1, -5, -2]
+        assert Matrix.from_rows([[Q(1, 2)]], RING).charpoly() == [1, Q(-1, 2)]
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_three_determinant_routes_agree(self, ctx):
+        rng = random.Random(59)
+        singular = 0
+        for k in range(60):
+            a = rand_square(rng, ctx, rng.randint(1, 6), k % 3 == 0)
+            det = a.det_fast()
+            singular += det == 0
+            assert a.det_berkowitz() == det == a.det_cofactor()
+        assert singular >= 15
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_adjugate_equals_minors(self, ctx):
+        rng = random.Random(61)
+        for k in range(40):
+            a = rand_square(rng, ctx, rng.randint(1, 5), k % 3 == 0)
+            adj = a.adjugate()
+            assert adj == minors_adjugate(a)
+            assert a.adjugate_entry_sum() == adj.entry_sum()
+
+    def test_large_entries_keep_their_scale(self):
+        # distinct large denominators: the integer lift's scale is their lcm
+        a = Matrix.from_rows([["1/1000003", "2/7"], ["-5/999983", "3/11"]], RING)
+        assert a.det_berkowitz() == a.det_fast() == a.det_cofactor()
+        assert a.adjugate() == minors_adjugate(a)
+
+
 class TestInverse:
     def test_cauchy_two_by_two(self):
         m = Matrix.from_rows([["1/4", "1/6"], ["1/5", "1/7"]], RING)
