@@ -18,6 +18,12 @@ This module holds the constructions and closed-form results:
   invertibility assumption at all,
 * the ones-bordered determinant, -(sum(x) + sum(y)) * det.
 
+The determinant, the matrix and its inverse run on one integer kernel
+(:func:`_ints`): each parameter is lifted to its own integer pair, the
+differences and sums are cross-multiplied, and each result crosses back
+into the ring once, as one Fraction over Q or, over F_p, after one batch
+inversion of all its denominators.
+
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
 thousands of random inputs. Indices are 0-based throughout.
@@ -25,11 +31,14 @@ thousands of random inputs. Indices are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .densela import Matrix, border_with_ones
-from .ring import CauchyKitError, NotInvertibleError, RingContext, Scalar
+from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
+                   Scalar, _inv_all_mod)
 
 
 class NonInvertiblePairSumError(CauchyKitError):
@@ -47,8 +56,9 @@ class NonInvertiblePairSumError(CauchyKitError):
 class CauchySpec:
     """Parameter vectors defining a Cauchy matrix over one ring context.
 
-    Construction validates all n^2 pairwise sums up front and fails fast
-    with the offending (i, j) rather than deep inside a product later.
+    Construction validates every pairwise sum up front, in O(n) since
+    x_i + y_j = 0 exactly when x_i = -y_j, and fails fast with the first
+    offending (i, j) in row-major order rather than deep inside a product later.
     A spec is immutable after construction: :func:`det_closed` and
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``).
     """
@@ -62,10 +72,10 @@ class CauchySpec:
             raise ValueError("need at least one parameter in each vector")
         if len(xs) != len(ys):
             raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
+        neg = {-y: j for j, y in reversed(tuple(enumerate(ys)))}  # x + y_j = 0 iff x = -y_j
         for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if not ctx.is_invertible(x + y):
-                    raise NonInvertiblePairSumError(i, j)
+            if x in neg:
+                raise NonInvertiblePairSumError(i, neg[x])
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
@@ -105,11 +115,51 @@ class InvertibilityVerdict:
     witness: Optional[tuple[str, int, int]] = None
 
 
+def _ints(spec: CauchySpec) -> tuple[list, list, int]:
+    """The integer kernel's view of a spec: each parameter as its own pair
+    (numerator, denominator), (residue, 1) over F_p, and the modulus p, 0
+    over Q. With x_i = a_i/q_i and y_j = r_j/s_j, differences and sums are
+    cross-multiplied: x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
+    x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j). Results cross back into the
+    ring once each; a common denominator instead would grow with every
+    coprime denominator."""
+    if isinstance(spec.ctx, PrimeField):
+        return [(x.value, 1) for x in spec.xs], [(y.value, 1) for y in spec.ys], spec.ctx.p
+    return ([(x.numerator, x.denominator) for x in spec.xs],
+            [(y.numerator, y.denominator) for y in spec.ys], 0)
+
+
+def _prod(vs, p: int) -> int:
+    """The product of the integers ``vs``, reduced mod p unless p is 0."""
+    acc = math.prod(vs)
+    return acc % p if p else acc
+
+
+def _sums(xs: list, ys: list) -> list[list]:
+    """sums[i][j], the numerator of x_i + y_j over q_i s_j."""
+    return [[a * s + r * q for r, s in ys] for a, q in xs]
+
+
+def _scales(us: list, rows, p: int) -> list[tuple[int, int]]:
+    """Integer column scales (A_j, D_j) = (prod(rows[j]), q_j * prod_{k != j}
+    (a_j q_k - a_k q_j)) for us = xs and rows = sums; with us = ys and the
+    columns of sums they are the row scales (B_i, E_i). The denominators of
+    the closed form cancel, leaving inv[i, j] = A_j B_i / (D_j E_i sums[j][i]).
+    The us are distinct, so the k = j difference is the only 0; it stands in
+    for the factor q_j."""
+    return [(_prod(row, p), _prod([a * t - c * q or q for c, t in us], p))
+            for (a, q), row in zip(us, rows)]
+
+
 def build(spec: CauchySpec) -> Matrix:
-    """The n x n matrix with entry (i, j) = 1/(x_i + y_j)."""
-    ctx = spec.ctx
-    entries = ctx.inv_all(x + y for x in spec.xs for y in spec.ys)
-    return Matrix(spec.n, spec.n, entries, ctx)
+    """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
+    xs, ys, p = _ints(spec)
+    sums = _sums(xs, ys)
+    if p:
+        entries = [FpElement(v, p) for v in _inv_all_mod([v for row in sums for v in row], p)]
+    else:
+        entries = [Fraction(q * s, v) for (_, q), row in zip(xs, sums) for (_, s), v in zip(ys, row)]
+    return Matrix(spec.n, spec.n, entries, spec.ctx)
 
 
 def det_closed(spec: CauchySpec) -> Scalar:
@@ -120,29 +170,30 @@ def det_closed(spec: CauchySpec) -> Scalar:
     Empty products are 1, so n = 1 gives 1/(x_1 + y_1).
     """
     if spec._det is None:
-        ctx = spec.ctx
-        num = ctx.one
-        n = spec.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                num = num * (spec.xs[i] - spec.xs[j]) * (spec.ys[i] - spec.ys[j])
-        den = ctx.one
-        for x in spec.xs:
-            for y in spec.ys:
-                den = den * (x + y)
-        spec._det = num * ctx.inv(den)
+        xs, ys, p = _ints(spec)  # the denominators cancel down to prod(q) prod(s) on top
+        num = _prod([_prod([a * t - c * q for c, t in us[i + 1:]], p)
+                     for us in (xs, ys) for i, (a, q) in enumerate(us)] + [q for _, q in xs + ys], p)
+        den = _prod([_prod(row, p) for row in _sums(xs, ys)], p)
+        spec._det = spec.ctx.inv(den) * num if p else Fraction(num, den)
     return spec._det
 
 
 def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     """Invertibility test without computing anything matrix-shaped: the
     matrix is invertible iff the x's are pairwise strongly distinct and the
-    y's are pairwise strongly distinct (differences invertible)."""
+    y's are pairwise strongly distinct (differences invertible). In a field
+    a difference is invertible iff it is nonzero, so this is plain
+    distinctness, decided in O(n) by hashing; the witness is the first
+    repeat in lexicographic (name, i, j) order."""
     if spec._verdict is None:
-        ctx = spec.ctx
-        witness = next(((name, i, j) for name, vec in (("x", spec.xs), ("y", spec.ys))
-                        for i in range(len(vec)) for j in range(i + 1, len(vec))
-                        if not ctx.is_invertible(vec[i] - vec[j])), None)
+        repeats = []
+        for name, vec in (("x", spec.xs), ("y", spec.ys)):
+            first = {}
+            for k, v in enumerate(vec):
+                i = first.setdefault(v, k)
+                if i != k:
+                    repeats.append((name, i, k))
+        witness = min(repeats, default=None)
         spec._verdict = InvertibilityVerdict(witness is None, witness)
     return spec._verdict
 
@@ -195,17 +246,24 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
 
 
 def inverse_closed(spec: CauchySpec) -> Matrix:
-    """Whole inverse in O(n^2) scalar operations (plus bignum growth):
-    diag(b) * C^T * diag(a), so each entry costs two multiplications and
-    one pairwise-sum inverse (all n^2 from one ``ctx.inv_all`` call)."""
+    """Whole inverse in O(n^2) integer operations (plus bignum growth):
+    diag(b) * C^T * diag(a) on the integer scales of :func:`_scales`. Over Q
+    each entry is one Fraction; over F_p one batch inversion covers the 2n
+    scale denominators and the n^2 pair sums."""
     _require_invertible(spec)
-    ctx, xs, ys, n = spec.ctx, spec.xs, spec.ys, spec.n
-    a = [_scale(xs, ys, j, ctx.one, ctx.inv) for j in range(n)]
-    b = [_scale(ys, xs, i, ctx.one, ctx.inv) for i in range(n)]
-    entries = ctx.inv_all(x + y for y in ys for x in xs)  # scaled in place
-    for k, inv_sum in enumerate(entries):
-        entries[k] = b[k // n] * a[k % n] * inv_sum
-    return Matrix(n, n, entries, ctx)
+    xs, ys, p = _ints(spec)
+    sums = _sums(xs, ys)
+    cols = list(zip(*sums))
+    a, b = _scales(xs, sums, p), _scales(ys, cols, p)
+    if p:
+        inv = iter(_inv_all_mod([d for _, d in a + b] + [v for col in cols for v in col], p))
+        a = [na * next(inv) % p for na, _ in a]
+        b = [nb * next(inv) % p for nb, _ in b]
+        entries = [FpElement(bi * aj * next(inv), p) for bi in b for aj in a]
+    else:
+        entries = [Fraction(na * nb, da * db * v)
+                   for (nb, db), col in zip(b, cols) for (na, da), v in zip(a, col)]
+    return Matrix(spec.n, spec.n, entries, spec.ctx)
 
 
 def inverse_entry_sum(spec: CauchySpec) -> Scalar:

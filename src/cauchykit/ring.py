@@ -77,6 +77,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _inv_all_mod(vs: list, p: int) -> list:
+    """The inverses mod the prime ``p`` of the integers ``vs``, as residues,
+    with one modular inversion (Montgomery's trick, Math. Comp. 48, 1987):
+    prefix products, one ``pow``, then a backward sweep that empties ``vs``
+    as the result fills. A multiple of p anywhere raises NotInvertibleError."""
+    out, acc = [], 1
+    for v in vs:
+        out.append(acc)  # the prefix product v_0 ... v_{k-1}, replaced below
+        acc = acc * v % p
+    if acc == 0:
+        raise NotInvertibleError(FpElement(0, p))
+    acc = pow(acc, -1, p)  # 1/(v_0 ... v_k) at the top of each step below
+    for k in range(len(vs) - 1, -1, -1):
+        out[k] = acc * out[k] % p
+        acc = acc * vs.pop() % p
+    return out
+
+
 class FpElement:
     """A residue modulo the prime ``p``. Immutable value object.
 
@@ -288,23 +306,10 @@ class PrimeField:
         return FpElement(pow(a.value, -1, self.p), self.p)
 
     def inv_all(self, values) -> list:
-        """The inverses of ``values`` with one modular inversion (Montgomery's
-        trick, Math. Comp. 48, 1987): prefix products, one ``pow``, then a
-        backward sweep. A zero anywhere raises NotInvertibleError, as inv does."""
+        """The inverses of ``values`` with one modular inversion (see
+        :func:`_inv_all_mod`). A zero anywhere raises NotInvertibleError, as inv does."""
         p = self.p
-        vs, out, acc = [], [], 1
-        for a in values:
-            v = self.coerce(a).value
-            if v == 0:
-                raise NotInvertibleError(FpElement(0, p))
-            vs.append(v)
-            out.append(acc)  # the prefix product v_0 ... v_{k-1}, replaced below
-            acc = acc * v % p
-        acc = pow(acc, -1, p)  # 1/(v_0 ... v_k) at the top of each step below
-        for k in range(len(vs) - 1, -1, -1):  # popping vs frees it as out fills
-            out[k] = FpElement(acc * out[k], p)
-            acc = acc * vs.pop() % p
-        return out
+        return [FpElement(v, p) for v in _inv_all_mod([self.coerce(a).value for a in values], p)]
 
     def is_invertible(self, a) -> bool:
         return self.coerce(a).value != 0

@@ -9,10 +9,12 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines.
 """
 
 import functools
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from cauchykit import cauchy, minmat
 from cauchykit.canary import hilbert_spec, run_canary
@@ -232,8 +234,10 @@ def test_criterion_9_canary():
 @criterion(10, "verify --seed 42 is byte-identical across runs")
 def test_criterion_10_verify_determinism():
     cmd = [sys.executable, "-m", "cauchykit.cli", "verify", "--seed", "42", "--trials", "12", "--n", "5"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    src = str(Path(cauchy.__file__).resolve().parents[1])  # the subprocess imports this same tree
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0

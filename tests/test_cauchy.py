@@ -336,6 +336,26 @@ class TestPerSpecMemo:
                 inverse_closed(spec)
         assert not is_invertible_spec(spec).invertible
 
+    def test_build_and_inverse_make_no_field_inversion(self, monkeypatch):
+        calls = self.count_field_inversions(monkeypatch)
+        spec = CauchySpec(range(1, 33), range(33, 65), PrimeField(2**31 - 1))
+        build(spec)
+        inverse_closed(spec)
+        assert calls == []
+        det_closed(spec)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "ctx, xs, ys, pair",
+        ((F101, [3, 104], [1, 2], r"x\[0\] and x\[1\]"), (RING, [1, 2], [5, 5], r"y\[0\] and y\[1\]")),
+        ids=("f101-x", "rational-y"),
+    )
+    def test_singular_spec_raises_on_every_inverse_call(self, ctx, xs, ys, pair):
+        spec = CauchySpec(xs, ys, ctx)
+        for _ in range(3):
+            with pytest.raises(NotInvertibleError, match=pair):
+                inverse_closed(spec)
+
     @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
     def test_batch_inversion_keeps_entries(self, ctx):
         rng = random.Random(29)
@@ -345,3 +365,107 @@ class TestPerSpecMemo:
             assert build(spec).to_rows() == [[ctx.inv(xs[i] + ys[j]) for j in range(n)] for i in range(n)]
             inv = inverse_closed(spec)
             assert inv.to_rows() == [[inverse_entry_closed(spec, i, j) for j in range(n)] for i in range(n)]
+
+
+def first_zero_pair_sum(xs, ys, ctx):
+    """Row-major scan: the first (i, j) whose pair sum is not invertible."""
+    return next(((i, j) for i, x in enumerate(xs) for j, y in enumerate(ys)
+                 if not ctx.is_invertible(x + y)), None)
+
+
+def first_repeat(spec):
+    """Lexicographic scan: the first (name, i, j) whose difference is not invertible."""
+    return next(((name, i, j) for name, vec in (("x", spec.xs), ("y", spec.ys))
+                 for i in range(spec.n) for j in range(i + 1, spec.n)
+                 if not spec.ctx.is_invertible(vec[i] - vec[j])), None)
+
+
+def plant(rng, vec, pool):
+    """Overwrite one to three random positions of ``vec`` with draws from ``pool``."""
+    for _ in range(rng.randint(1, 3)):
+        vec[rng.randrange(len(vec))] = rng.choice(pool)
+
+
+class TestPairSumValidation:
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_first_offender_matches_row_major_scan(self, ctx):
+        rng = random.Random(107)
+        outcomes = []
+        for t in range(200):
+            n = rng.randint(1, 8)
+            xs = [rand_scalar(rng, ctx) for _ in range(n)]
+            ys = [rand_scalar(rng, ctx) for _ in range(n)]
+            if t % 3 == 1:
+                plant(rng, ys, [-x for x in xs])
+            elif t % 3 == 2:
+                plant(rng, xs, [-y for y in ys])
+            want = first_zero_pair_sum(xs, ys, ctx)
+            outcomes.append(want is not None)
+            if want is None:
+                assert CauchySpec(xs, ys, ctx).n == n
+                continue
+            with pytest.raises(NonInvertiblePairSumError) as exc_info:
+                CauchySpec(xs, ys, ctx)
+            assert (exc_info.value.i, exc_info.value.j) == want
+        assert 60 < sum(outcomes) < 190
+
+
+class TestVerdictWitness:
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_matches_lexicographic_scan(self, ctx):
+        rng = random.Random(109)
+        witnessed = set()
+        for t in range(200):
+            while True:
+                n = rng.randint(1, 8)
+                xs = [rand_scalar(rng, ctx) for _ in range(n)]
+                ys = [rand_scalar(rng, ctx) for _ in range(n)]
+                for vec in ((), (xs,), (ys,), (xs, ys))[t % 4]:
+                    plant(rng, vec, vec)
+                try:
+                    spec = CauchySpec(xs, ys, ctx)
+                    break
+                except NonInvertiblePairSumError:
+                    continue
+            verdict = is_invertible_spec(spec)
+            assert verdict.witness == first_repeat(spec)
+            assert verdict.invertible == (verdict.witness is None)
+            witnessed.add(verdict.witness and verdict.witness[0])
+        assert witnessed == {None, "x", "y"}
+
+
+PRIMES = [q for q in range(2, 230) if all(q % d for d in range(2, q))]
+
+
+def prime_denominator_spec(n, seed):
+    """xs and ys over 2n distinct prime denominators, every value in lowest
+    terms: the spec on which a common-denominator lift grows fastest."""
+    rng = random.Random(seed)
+    vals = []
+    for q in PRIMES[:2 * n]:
+        a = rng.randint(1, 500)
+        vals.append(Q((a + (a % q == 0)) * rng.choice((-1, 1)), q))
+    return CauchySpec(vals[:n], vals[n:], RING)
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("n", (12, 24))
+    def test_prime_denominators(self, n):
+        spec = prime_denominator_spec(n, n)
+        m = build(spec)
+        assert m.to_rows() == [[1 / (x + y) for y in spec.ys] for x in spec.xs]
+        assert det_closed(spec) == m.det_fast()
+        assert inverse_closed(spec) == m.inverse()
+        if n <= 12:  # Berkowitz scales by the lcm of all n^2 entry denominators, too slow at n = 24
+            assert m.det_berkowitz() == det_closed(spec)
+
+    def test_residues_above_two_to_the_31(self):
+        p61 = PrimeField(2**61 - 1)
+        vals = random.Random(113).sample(range(2**31, 2**61 - 1), 16)
+        spec = CauchySpec(vals[:8], vals[8:], p61)
+        m = build(spec)
+        assert m.to_rows() == [[p61.inv(x + y) for y in spec.ys] for x in spec.xs]
+        assert det_closed(spec) == m.det_fast() == m.det_berkowitz()
+        assert inverse_closed(spec) == m.inverse()
+        assert inverse_closed(spec).to_rows() == [[inverse_entry_closed(spec, i, j) for j in range(8)]
+                                                  for i in range(8)]

@@ -13,6 +13,7 @@ from cauchykit.ring import (
     PrimeField,
     RationalRing,
     UnorderedRingError,
+    _inv_all_mod,
     _is_prime,
 )
 
@@ -174,6 +175,12 @@ class TestInvAll:
     @pytest.mark.parametrize("ctx", (RING, F101), ids=("rational", "f101"))
     def test_empty(self, ctx):
         assert ctx.inv_all([]) == []
+
+    def test_residue_routine_takes_unreduced_integers(self):
+        values = [3, 101 + 5, 2 * 101 - 1, -7]
+        assert _inv_all_mod(list(values), 101) == [pow(v, -1, 101) for v in values]
+        with pytest.raises(NotInvertibleError):
+            _inv_all_mod([1, 2 * 101, 3], 101)
 
 
 class TestContextMixing:
