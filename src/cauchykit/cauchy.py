@@ -159,7 +159,7 @@ def build(spec: CauchySpec) -> Matrix:
         entries = [FpElement(v, p) for v in _inv_all_mod([v for row in sums for v in row], p)]
     else:
         entries = [Fraction(q * s, v) for (_, q), row in zip(xs, sums) for (_, s), v in zip(ys, row)]
-    return Matrix(spec.n, spec.n, entries, spec.ctx)
+    return Matrix._of(spec.n, spec.n, entries, spec.ctx)
 
 
 def det_closed(spec: CauchySpec) -> Scalar:
@@ -263,7 +263,7 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     else:
         entries = [Fraction(na * nb, da * db * v)
                    for (nb, db), col in zip(b, cols) for (na, da), v in zip(a, col)]
-    return Matrix(spec.n, spec.n, entries, spec.ctx)
+    return Matrix._of(spec.n, spec.n, entries, spec.ctx)
 
 
 def inverse_entry_sum(spec: CauchySpec) -> Scalar:

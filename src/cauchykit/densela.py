@@ -9,6 +9,14 @@ characteristic polynomial; the tests hold all three routes together. The
 inverse is Gauss-Jordan elimination on [A | I]; the adjugate, by
 Cayley-Hamilton on the characteristic polynomial, shares no code with it.
 
+Elimination runs on raw integers (:func:`_eliminate`): over Q each entry is
+its own pair (numerator, denominator), over F_p a plain residue, and each
+result crosses back into the ring once. The kernel is written apart from
+the closed forms' integer kernel in :mod:`cauchykit.cauchy`, from the
+batch inversion in :mod:`cauchykit.ring` and from the Berkowitz lift here,
+and it never calls the ring's ``inv``, so the oracle does not share the
+arithmetic it checks.
+
 Matrices are immutable. All indices are 0-based.
 """
 
@@ -17,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .ring import (
     CauchyKitError,
     ContextMismatchError,
+    FpElement,
     NotInvertibleError,
     PrimeField,
     RingContext,
@@ -59,6 +68,15 @@ class Matrix:
         self.entries = coerced
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: Sequence, ctx: RingContext) -> "Matrix":
+        """A matrix on ``rows * cols`` entries that are already scalars of
+        ``ctx``, taken as they are: for producers inside the package, which
+        skip the coercion and checks of the public constructor."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.ctx, m.entries = rows, cols, ctx, tuple(entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows_seq: Sequence[Sequence], ctx: RingContext) -> "Matrix":
         rows = len(rows_seq)
         if rows == 0:
@@ -74,7 +92,7 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, ctx: RingContext) -> "Matrix":
         one, zero = ctx.one, ctx.zero
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], ctx)
+        return cls._of(n, n, [one if i == j else zero for i in range(n) for j in range(n)], ctx)
 
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -97,7 +115,7 @@ class Matrix:
         return self.rows == self.cols
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.cols,
             self.rows,
             [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
@@ -114,7 +132,7 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         prod = _matmul(self.to_rows(), other.to_rows())
-        return Matrix(self.rows, other.cols, [e for row in prod for e in row], self.ctx)
+        return Matrix._of(self.rows, other.cols, [e for row in prod for e in row], self.ctx)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -150,9 +168,10 @@ class Matrix:
 
     def det_fast(self) -> Scalar:
         """Determinant by Gaussian elimination, first nonzero pivot per
-        column, in either ring."""
+        column, on the raw integers of :func:`_eliminate` in either ring:
+        one Fraction or FpElement is made, for the result."""
         self._require_square("det_fast")
-        return _eliminate(self.to_rows(), self.ctx)
+        return _eliminate(self)[0]
 
     def charpoly(self) -> list:
         """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
@@ -182,7 +201,8 @@ class Matrix:
             for i in range(n):
                 b[i][i] += c[k]
         sign, scale = (-1) ** (n - 1), d ** (n - 1)
-        return Matrix(n, n, [_lower(self.ctx, sign * e, scale) for row in b for e in row], self.ctx)
+        entries = [_lower(self.ctx, sign * e, scale) for row in b for e in row]
+        return Matrix._of(n, n, entries, self.ctx)
 
     def adjugate_entry_sum(self) -> Scalar:
         """1^T adj(A) 1 = (-1)^(n-1) sum_{k<n} c_(n-1-k) 1^T A^k 1, from the
@@ -199,19 +219,18 @@ class Matrix:
         return _lower(self.ctx, (-1) ** (n - 1) * acc, d ** (n - 1))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3).
+        """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3), on
+        the raw integers of :func:`_eliminate`: each entry becomes one
+        Fraction or FpElement at the end.
 
         Raises NotInvertibleError (carrying the determinant) when the
         determinant is not a unit.
         """
         self._require_square("inverse")
-        n, ctx = self.rows, self.ctx
-        work = [list(self.row(i)) + [ctx.one if j == i else ctx.zero for j in range(n)]
-                for i in range(n)]
-        det = _eliminate(work, ctx, jordan=True)
-        if not ctx.is_invertible(det):
-            raise NotInvertibleError(det, f"matrix is singular: det = {ctx.render(det)}")
-        return Matrix(n, n, [e for row in work for e in row[n:]], ctx)
+        det, inv = _eliminate(self, jordan=True)
+        if inv is None:
+            raise NotInvertibleError(det, f"matrix is singular: det = {self.ctx.render(det)}")
+        return Matrix._of(self.rows, self.cols, inv, self.ctx)
 
     def entry_sum(self) -> Scalar:
         acc = self.ctx.zero
@@ -299,35 +318,91 @@ def _berkowitz(rows: list[list]) -> list:
     return poly
 
 
-def _eliminate(m: list[list], ctx: RingContext, jordan: bool = False) -> Scalar:
-    """Gaussian elimination in place on the rows ``m`` (n of them, at least n
-    columns wide), taking the first nonzero pivot in each of the first n
-    columns. Returns the determinant of the leading n x n block. Each pivot
-    row is scaled to a leading 1; with ``jordan`` the pivot column is also
-    cleared above the pivot, so a nonsingular [A | I] ends as [I | inv(A)]."""
-    n, width = len(m), len(m[0])
-    det = ctx.one
+def _eliminate(a: Matrix, jordan: bool = False) -> tuple[Scalar, Optional[list]]:
+    """Gaussian elimination of the square ``a`` on raw integers, taking the
+    first nonzero pivot in each column; a row swap flips the determinant's
+    sign. Returns (det, inv): the determinant as a ring scalar and, with
+    ``jordan``, the entries of the inverse, row-major, from Gauss-Jordan
+    elimination on [A | I]; inv is None without ``jordan`` or when det = 0.
+
+    Over Q each entry is its own integer pair (numerator, denominator) in
+    lowest terms with a positive denominator, so zero is (0, 1). The pivot
+    row is scaled to a leading 1, and an update t - f * r is cross-multiplied,
+    (t_n f_d r_d - f_n r_n t_d) / (t_d f_d r_d), and reduced by one gcd. Over
+    F_p the entries are residues and each pivot is inverted by one ``pow``.
+    Zero entries of the pivot row are skipped. Each result crosses back into
+    the ring once: one Fraction or FpElement per determinant and per entry."""
+    n, ctx = a.rows, a.ctx
+    p = ctx.p if isinstance(ctx, PrimeField) else 0
+    if p:
+        zero, one = 0, 1
+        m = [[e.value for e in a.row(i)] for i in range(n)]
+    else:
+        zero, one = (0, 1), (1, 1)
+        m = [[(e.numerator, e.denominator) for e in a.row(i)] for i in range(n)]
+    if jordan:
+        for i, row in enumerate(m):
+            row.extend(one if j == i else zero for j in range(n))
+    width = len(m[0])
+    det_n, det_d = 1, 1
     for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
+        pivot_row = next((r for r in range(k, n) if m[r][k] != zero), None)
         if pivot_row is None:
-            return ctx.zero
+            return ctx.zero, None
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det = det * pivot
-        inv_pivot = ctx.inv(pivot)
+            det_n = -det_n
         row = m[k]
-        for j in range(k, width):
-            row[j] = row[j] * inv_pivot
+        if p:
+            pivot = row[k]
+            det_n = det_n * pivot % p
+            inv = pow(pivot, -1, p)
+            nonzero = []
+            for j in range(k + 1, width):
+                if row[j]:
+                    row[j] = v = row[j] * inv % p
+                    nonzero.append((j, v))
+        else:
+            pn, pd = row[k]
+            det_n, det_d = det_n * pn, det_d * pd
+            g = math.gcd(det_n, det_d)
+            det_n, det_d = det_n // g, det_d // g
+            if pn < 0:
+                pn, pd = -pn, -pd
+            nonzero = []
+            for j in range(k + 1, width):
+                rn, rd = row[j]
+                if rn:
+                    rn, rd = rn * pd, rd * pn  # r / pivot
+                    g = math.gcd(rn, rd)
+                    rn, rd = rn // g, rd // g
+                    row[j] = rn, rd
+                    nonzero.append((j, rn, rd))
+        row[k] = one
         for i in range(0 if jordan else k + 1, n):
-            factor = m[i][k]
-            if i == k or factor == 0:
-                continue
             target = m[i]
-            for j in range(k, width):
-                target[j] = target[j] - factor * row[j]
-    return det
+            factor = target[k]
+            if i == k or factor == zero:
+                continue
+            target[k] = zero
+            if p:
+                for j, v in nonzero:
+                    target[j] = (target[j] - factor * v) % p
+            else:
+                fn, fd = factor
+                for j, rn, rd in nonzero:
+                    tn, td = target[j]
+                    frd = fd * rd
+                    num, den = tn * frd - fn * rn * td, td * frd
+                    g = math.gcd(num, den)
+                    target[j] = (num // g, den // g)
+    if p:
+        det = FpElement(det_n, p)
+        inv = [FpElement(v, p) for row in m for v in row[n:]] if jordan else None
+    else:
+        det = Fraction(det_n, det_d)
+        inv = [Fraction(v, d) for row in m for v, d in row[n:]] if jordan else None
+    return det, inv
 
 
 @dataclass(frozen=True)

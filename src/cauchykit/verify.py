@@ -14,6 +14,7 @@ import random
 import re
 import reprlib
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from . import cauchy, minmat
@@ -164,8 +165,6 @@ def random_scalar(rng: random.Random, ctx: RingContext):
     """Small random scalar: numerator in [-9, 9] over denominator in [1, 9]
     for rationals, a uniform residue for a prime field."""
     if isinstance(ctx, RationalRing):
-        from fractions import Fraction
-
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return ctx.coerce(rng.randrange(ctx.p))
 

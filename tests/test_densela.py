@@ -18,6 +18,7 @@ from cauchykit.densela import (
 )
 from cauchykit.ring import (
     ContextMismatchError,
+    FpElement,
     NotInvertibleError,
     PrimeField,
     RationalRing,
@@ -269,6 +270,93 @@ class TestInverse:
             scale = ctx.inv(det)
             assert a.inverse().entries == tuple(scale * e for e in a.adjugate().entries)
             done += 1
+
+
+F61 = PrimeField(2**61 - 1)
+KERNEL_RINGS = (RING, F101, F61)
+# distinct primes just above 10^6: each rational entry its own large coprime denominator
+BIG_PRIMES = [q for q in range(10**6, 10**6 + 1400) if all(q % d for d in range(2, 1001))]
+
+
+def kernel_matrix(rng, ctx, n, kind):
+    """A random n x n matrix for the elimination kernel. Over Q the entries
+    are signed with distinct large prime denominators. ``kind`` is "full",
+    "swaps" (column 0 zero above the last row and about half the other
+    entries zero, so pivots are found by row swaps) or "deficient" (the last
+    row a combination of the others, a zero matrix at n = 1)."""
+    if ctx is RING:
+        dens = rng.sample(BIG_PRIMES, n * n)
+        rows = [[Q(rng.randint(-10**6, 10**6), dens[i * n + j]) for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[ctx.coerce(rng.randrange(ctx.p)) for _ in range(n)] for _ in range(n)]
+    if kind == "swaps":
+        rows = [[e if rng.random() < 0.5 else 0 * e for e in row] for row in rows]
+        for row in rows[:-1]:
+            row[0] = 0 * row[0]
+    elif kind == "deficient":
+        coef = [ctx.coerce(rng.randint(-3, 3)) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coef, rows)), 0 * rows[0][0])
+                    for j in range(n)]
+    return Matrix.from_rows(rows, ctx)
+
+
+class TestEliminationKernel:
+    """det_fast and inverse run on raw integers; hold them against the
+    division-free and cofactor routes and the product with A."""
+
+    @pytest.mark.parametrize("ctx", KERNEL_RINGS, ids=("rational", "f101", "f2^61-1"))
+    def test_against_other_routes(self, ctx):
+        rng = random.Random(71)
+        scalar = Q if ctx is RING else FpElement
+        swaps = singular = 0
+        for n in range(1, 10):
+            for kind in ("full", "swaps", "deficient"):
+                a = kernel_matrix(rng, ctx, n, kind)
+                det = a.det_fast()
+                assert isinstance(det, scalar) and ctx.coerce(det) is det
+                assert det == a.det_berkowitz()
+                if n <= 8:
+                    assert det == a.det_cofactor()
+                swaps += a.entry(0, 0) == 0 and n > 1
+                if det == 0:
+                    singular += 1
+                    with pytest.raises(NotInvertibleError, match=r"singular: det = 0\Z") as exc:
+                        a.inverse()
+                    assert exc.value.value == ctx.zero
+                    assert isinstance(exc.value.value, scalar)
+                    continue
+                inv = a.inverse()
+                assert all(isinstance(e, scalar) and ctx.coerce(e) is e for e in inv.entries)
+                assert a * inv == Matrix.identity(n, ctx) == inv * a
+        assert swaps >= 8 and singular >= 9
+
+    def test_permutation_signs(self):
+        # a pivot is found by a swap at every step; the sign follows the swaps
+        for ctx in KERNEL_RINGS:
+            m = Matrix.from_rows([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 0], [7, 0, 0, 0]], ctx)
+            assert m.det_fast() == ctx.coerce(210) == m.det_cofactor()
+            assert m.inverse() * m == Matrix.identity(4, ctx)
+
+    def test_no_ring_inversion(self, monkeypatch):
+        calls = []
+        for cls in (RationalRing, PrimeField):
+            inv = cls.inv
+
+            def counting(self, a, inv=inv):
+                calls.append(a)
+                return inv(self, a)
+
+            monkeypatch.setattr(cls, "inv", counting)
+        rng = random.Random(73)
+        for ctx in KERNEL_RINGS:
+            for n in (1, 4, 8):
+                a = kernel_matrix(rng, ctx, n, "full")
+                assert a.inverse() * a == Matrix.identity(n, ctx)
+                assert a.det_fast() != 0
+                with pytest.raises(NotInvertibleError):
+                    kernel_matrix(rng, ctx, n, "deficient").inverse()
+        assert calls == []
 
 
 class TestSums:
