@@ -8,17 +8,24 @@ matrix twice, by Gauss-Jordan with partial pivoting and by the closed-form
 entry products, and scores each against that exact statistic plus a
 max-norm identity residual.
 
+The float image is read straight off the integers of the closed forms'
+kernel: entry (i, j) is the int quotient q_i s_j / sums[i][j], which Python
+rounds correctly, so it equals float() of the exact entry bit for bit with
+no exact matrix built. The identity residual is taken entry by entry, each
+entry of C * C_inv an fsum of its rounded products, with no product matrix.
+
 Floats live only here; the rest of the package is exact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cauchy import CauchySpec, _scale, build, is_invertible_spec
+from .cauchy import CauchySpec, _ints, _scale, _sums, is_invertible_spec
 from .densela import Matrix
 from .ring import CauchyKitError, NotInvertibleError, RationalRing
 
@@ -33,12 +40,12 @@ class FloatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[float]):
-        entries = tuple(float(e) for e in entries)
+        entries = tuple(map(float, entries))
         if len(entries) != rows * cols:
             raise ValueError(f"{rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if not math.isfinite(e):
-                raise ValueError(f"non-finite entry {e!r}")
+        if not all(map(math.isfinite, entries)):
+            bad = next(e for e in entries if not math.isfinite(e))
+            raise ValueError(f"non-finite entry {bad!r}")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -66,16 +73,6 @@ class FloatMatrix:
 
     def entry_sum(self) -> float:
         return math.fsum(self.entries)
-
-    def matmul(self, other: "FloatMatrix") -> "FloatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = []
-        for i in range(self.rows):
-            for k in range(other.cols):
-                out.append(math.fsum(a[i][j] * b[j][k] for j in range(self.cols)))
-        return FloatMatrix(self.rows, other.cols, out)
 
 
 @dataclass
@@ -106,9 +103,22 @@ def hilbert_spec(n: int) -> CauchySpec:
     return CauchySpec(range(1, n + 1), range(0, n), RationalRing())
 
 
+def float_image(spec: CauchySpec) -> FloatMatrix:
+    """The float image of the Cauchy matrix: entry (i, j) is the correctly
+    rounded int quotient q_i s_j / sums[i][j] of the integer kernel."""
+    xs, ys, p = _ints(spec)
+    if p:
+        raise CauchyKitError("only rational matrices have a float image")
+    return FloatMatrix(spec.n, spec.n, [
+        (q * s) / v for (_, q), row in zip(xs, _sums(xs, ys)) for (_, s), v in zip(ys, row)])
+
+
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
     """Approximate inverse by Gauss-Jordan elimination with partial pivoting,
-    the standard generic float algorithm the canary stresses."""
+    the standard generic float algorithm the canary stresses. In the left
+    block only the columns right of the pivot are updated: those at or left
+    of it are never read again. Every entry that is read goes through the
+    same operations, in the same order, as in a full-row update."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
@@ -121,15 +131,17 @@ def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        live = col + 1  # the left block's columns still to be read
         d = a[col][col]
-        a[col] = [v / d for v in a[col]]
+        pivot = [v / d for v in a[col][live:]]
+        a[col][live:] = pivot
         inv[col] = [v / d for v in inv[col]]
         for r in range(n):
             if r == col:
                 continue
             f = a[r][col]
             if f != 0.0:
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                a[r][live:] = [v - f * w for v, w in zip(a[r][live:], pivot)]
                 inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
     return FloatMatrix.from_rows(inv)
 
@@ -148,13 +160,21 @@ def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
 
 
 def identity_residual(c: FloatMatrix, c_inv: FloatMatrix) -> float:
-    """Max-norm of C * C_inv - I."""
-    prod = c.matmul(c_inv)
+    """Max-norm of C * C_inv - I, entry by entry: each entry of the product
+    is the fsum of its rounded products, compared with I and dropped, so no
+    product matrix is formed. Raises ValueError on a shape mismatch or a
+    non-finite entry of the product."""
+    if c.cols != c_inv.rows:
+        raise ValueError("shape mismatch")
+    cols = [c_inv.entries[k :: c_inv.cols] for k in range(c_inv.cols)]
     worst = 0.0
-    for i in range(prod.rows):
-        for j in range(prod.cols):
+    for i in range(c.rows):
+        row = c.entries[i * c.cols : (i + 1) * c.cols]
+        for j, col in enumerate(cols):
             target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(prod.entry(i, j) - target))
+            worst = max(worst, abs(math.fsum(map(operator.mul, row, col)) - target))
+    if not math.isfinite(worst):
+        raise ValueError(f"non-finite entry {worst!r} in C * C_inv")
     return worst
 
 
@@ -164,8 +184,8 @@ def run_canary(spec: CauchySpec) -> tuple[CanaryReport, CanaryReport]:
     Returns (closed_form report, gauss_pp report). Deterministic."""
     if not is_invertible_spec(spec).invertible:
         raise NotInvertibleError(None, "canary needs an invertible spec")
+    c_float = float_image(spec)
     truth = float(spec.weight_sum())
-    c_float = FloatMatrix.from_exact(build(spec))
 
     t0 = time.perf_counter()
     closed = invert_closed_float(spec)

@@ -271,40 +271,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_arg=True, n_type=_size_bound, n_default=6, n_help="max random size, 1..8 (default 6)"):
-        if spec_arg:
-            p.add_argument("spec", help="spec file path, '-' for stdin, or inline JSON")
-        p.add_argument("--ring", default="rational", help="rational | prime:P (default rational)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--trials", type=_positive_int, default=20, help="random trials (default 20)")
-        p.add_argument("--n", type=n_type, default=n_default, help=n_help)
-        p.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json", help="output format"
-        )
-        p.add_argument(
-            "--minus-convention",
-            action="store_true",
-            help="negate the ys on ingestion (input uses 1/(x - y) entries)",
-        )
-        p.add_argument(
-            "--allow-degenerate",
-            action="store_true",
-            help="gen: skip the strong-distinctness rejection and force a repeat",
-        )
-
+    flags = {  # a subcommand registers only the flags it reads; argparse rejects the rest
+        "spec": dict(help="spec file path, '-' for stdin, or inline JSON"),
+        "--ring": dict(default="rational", help="rational | prime:P (default rational)"),
+        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--trials": dict(type=_positive_int, default=20, help="random trials (default 20)"),
+        "--n": dict(type=_size_bound, default=6, help="max random size, 1..8 (default 6)"),
+        "--kind": dict(choices=("cauchy", "min"), default="cauchy", help="spec kind to generate"),
+        "--minus-convention": dict(
+            action="store_true", help="negate the ys on ingestion (input uses 1/(x - y) entries)"
+        ),
+        "--allow-degenerate": dict(
+            action="store_true", help="skip the strong-distinctness rejection and force a repeat"
+        ),
+        "--format": dict(choices=("json", "csv", "text"), default="json", help="output format"),
+    }
+    canary_n = dict(
+        type=_positive_int,
+        default=12,
+        help="largest Hilbert size; the ladder 3, 6, 9, 12 is filtered to <= n (default 12)",
+    )
+    spec_flags = ("spec", "--ring", "--minus-convention")
     specs = {
-        "gen": (cmd_gen, False, "emit a random spec"),
-        "build": (cmd_build, True, "build the matrix for a spec"),
-        "det": (cmd_det, True, "closed-form determinant"),
-        "inv": (cmd_inv, True, "closed-form inverse matrix"),
-        "invsum": (cmd_check, True, "check the inverse entry-sum identity"),
-        "adjsum": (cmd_check, True, "check the adjugate entry-sum identity"),
-        "border": (cmd_check, True, "check the bordered-determinant identity"),
-        "lemma-ab": (cmd_lemma_ab, False, "check the weighted trace identity on random A, B"),
-        "min-det": (cmd_check, True, "check the min-matrix determinant closed form"),
-        "min-invsum": (cmd_check, True, "check the min-matrix inverse entry sum"),
-        "min-colsums": (cmd_check, True, "check the min-matrix inverse column sums"),
-        "verify": (cmd_verify, False, "run the full seeded identity suite"),
+        "gen": (cmd_gen, ("--ring", "--seed", "--n", "--kind", "--allow-degenerate"),
+                "emit a random spec"),
+        "build": (cmd_build, spec_flags, "build the matrix for a spec"),
+        "det": (cmd_det, spec_flags, "closed-form determinant"),
+        "inv": (cmd_inv, spec_flags, "closed-form inverse matrix"),
+        "invsum": (cmd_check, spec_flags, "check the inverse entry-sum identity"),
+        "adjsum": (cmd_check, spec_flags, "check the adjugate entry-sum identity"),
+        "border": (cmd_check, spec_flags, "check the bordered-determinant identity"),
+        "lemma-ab": (cmd_lemma_ab, ("--ring", "--seed", "--trials", "--n"),
+                     "check the weighted trace identity on random A, B"),
+        "min-det": (cmd_check, spec_flags, "check the min-matrix determinant closed form"),
+        "min-invsum": (cmd_check, spec_flags, "check the min-matrix inverse entry sum"),
+        "min-colsums": (cmd_check, spec_flags, "check the min-matrix inverse column sums"),
+        "verify": (cmd_verify, ("--seed", "--trials", "--n"), "run the full seeded identity suite"),
+        "canary": (cmd_canary, ("--n",), "float ill-conditioning canary on Hilbert matrices"),
     }
     checks = {  # cmd_check rows: the identity and the loader of its spec
         "invsum": ("inverse_entry_sum", _load_cauchy_spec),
@@ -314,24 +317,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "min-invsum": ("min_inverse_entry_sum", _load_min_spec),
         "min-colsums": ("min_inverse_column_sums", _load_min_spec_normalized),
     }
-    for name, (handler, needs_spec, help_text) in specs.items():
+    for name, (handler, reads, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        common(p, spec_arg=needs_spec)
-        if name == "gen":
-            p.add_argument(
-                "--kind", choices=("cauchy", "min"), default="cauchy", help="spec kind to generate"
-            )
+        for flag in reads + ("--format",):
+            p.add_argument(flag, **(canary_n if (name, flag) == ("canary", "--n") else flags[flag]))
         p.set_defaults(handler=handler, check=checks.get(name))
-
-    p = sub.add_parser("canary", help="float ill-conditioning canary on Hilbert matrices")
-    common(
-        p,
-        spec_arg=False,
-        n_type=_positive_int,
-        n_default=12,
-        n_help="largest Hilbert size; the ladder 3, 6, 9, 12 is filtered to <= n (default 12)",
-    )
-    p.set_defaults(handler=cmd_canary)
     return parser
 
 

@@ -421,6 +421,9 @@ def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scal
 
     for A of shape n x m and B of shape m x n, returning (lhs, rhs). The two
     are equal for every A and B; returning both keeps the check auditable.
+    Only the trace terms of the right side are formed, (AB)[i,i] as the dot
+    product of row i of A with column i of B and (BA)[j,j] likewise, so the
+    work is O(nm) ring operations with no whole product AB or BA.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("A and B live in different ring contexts")
@@ -439,13 +442,11 @@ def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scal
     for i in range(a.rows):
         for j in range(a.cols):
             lhs = lhs + (xs[i] + ys[j]) * a.entry(i, j) * b.entry(j, i)
-    ab = a * b
-    ba = b * a
     rhs = ctx.zero
     for i in range(a.rows):
-        rhs = rhs + xs[i] * ab.entry(i, i)
+        rhs = rhs + xs[i] * _dot(a.row(i), b.column(i))
     for j in range(a.cols):
-        rhs = rhs + ys[j] * ba.entry(j, j)
+        rhs = rhs + ys[j] * _dot(b.row(j), a.column(j))
     return lhs, rhs
 
 

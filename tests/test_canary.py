@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ from cauchykit.canary import (
     CSV_HEADER,
     ExactZeroPivotError,
     FloatMatrix,
+    float_image,
     hilbert_spec,
     identity_residual,
     invert_closed_float,
@@ -14,7 +16,7 @@ from cauchykit.canary import (
     run_canary,
 )
 from cauchykit.cauchy import CauchySpec, build, inverse_closed, is_invertible_spec
-from cauchykit.ring import RationalRing
+from cauchykit.ring import CauchyKitError, PrimeField, RationalRing
 
 RING = RationalRing()
 
@@ -146,3 +148,87 @@ class TestRunCanary:
 def test_identity_residual_of_perfect_inverse():
     eye = FloatMatrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
     assert identity_residual(eye, eye) == 0.0
+
+
+def test_identity_residual_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        identity_residual(FloatMatrix(2, 3, [1.0] * 6), FloatMatrix(2, 2, [1.0] * 4))
+
+
+def test_run_canary_needs_rationals():
+    with pytest.raises(CauchyKitError, match="float image"):
+        run_canary(CauchySpec([1, 2], [3, 5], PrimeField(101)))
+
+
+# The routes the canary took before it skipped the exact matrix, the product
+# matrix and the dead left-block columns; the kernels must match them bit for bit.
+
+
+def full_float_image(spec):
+    return FloatMatrix.from_exact(build(spec))
+
+
+def full_product_residual(c, c_inv):
+    a, b = c.to_rows(), c_inv.to_rows()
+    prod = [[math.fsum(a[i][j] * b[j][k] for j in range(c.cols)) for k in range(c_inv.cols)]
+            for i in range(c.rows)]
+    return max(abs(prod[i][k] - (1.0 if i == k else 0.0))
+               for i in range(c.rows) for k in range(c_inv.cols))
+
+
+def full_row_gauss_pp(m):
+    n = m.rows
+    a = m.to_rows()
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot_row][col] == 0.0:
+            raise ExactZeroPivotError(f"zero pivot in column {col}")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        d = a[col][col]
+        a[col] = [v / d for v in a[col]]
+        inv[col] = [v / d for v in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0.0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+    return FloatMatrix.from_rows(inv)
+
+
+def bits(values):
+    return [float.hex(v) for v in values]
+
+
+def random_rational_specs(count):
+    rng = random.Random(233)
+    specs = []
+    while len(specs) < count:
+        n = rng.randint(1, 8)
+        xs = [Q(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
+        ys = [Q(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
+        if len(set(xs)) < n or len(set(ys)) < n or set(xs) & {-y for y in ys}:
+            continue
+        specs.append(CauchySpec(xs, ys, RING))
+    return specs
+
+
+CANARY_SPECS = [hilbert_spec(n) for n in range(1, 17)] + random_rational_specs(64)
+
+
+@pytest.mark.parametrize("spec", CANARY_SPECS, ids=lambda spec: f"n{spec.n}")
+def test_kernels_match_full_routes_bit_for_bit(spec):
+    image = full_float_image(spec)
+    assert bits(float_image(spec).entries) == bits(image.entries)
+    gauss = full_row_gauss_pp(image)
+    assert bits(invert_gauss_pp(image).entries) == bits(gauss.entries)
+    closed = invert_closed_float(spec)
+    truth = float(spec.weight_sum())
+    reports = run_canary(spec)
+    for report, inv in zip(reports, (closed, gauss)):
+        residual = full_product_residual(image, inv)
+        assert bits([identity_residual(image, inv)]) == bits([residual])
+        assert repr(report.identity_residual) == repr(residual)
+        assert repr(report.entry_sum_residual) == repr(abs(inv.entry_sum() - truth))

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import cauchykit
 from cauchykit.cauchy import CauchySpec, det_closed
-from cauchykit.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, _exit_code_for, main
+from cauchykit.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, _build_parser, _exit_code_for, main
 from cauchykit.ring import RationalRing
 from cauchykit.verify import VerificationReport
 
@@ -352,6 +354,57 @@ class TestCanaryCommand:
         assert code == EXIT_OK
         reports = json.loads(out)
         assert {r["method"] for r in reports} == {"closed_form", "gauss_pp"}
+
+
+SPEC_COMMANDS = ("build", "det", "inv", "invsum", "adjsum", "border", "min-det", "min-invsum",
+                 "min-colsums")
+FLAG_ARGS = {
+    "--ring": ["--ring", "rational"],
+    "--seed": ["--seed", "1"],
+    "--trials": ["--trials", "2"],
+    "--n": ["--n", "3"],
+    "--minus-convention": ["--minus-convention"],
+    "--allow-degenerate": ["--allow-degenerate"],
+}
+FLAGS_READ = {
+    "gen": {"--ring", "--seed", "--n", "--allow-degenerate"},
+    "lemma-ab": {"--ring", "--seed", "--trials", "--n"},
+    "verify": {"--seed", "--trials", "--n"},
+    "canary": {"--n"},
+    **{name: {"--ring", "--minus-convention"} for name in SPEC_COMMANDS},
+}
+
+
+def command_argv(name, flag):
+    return [name] + ([EXAMPLE] if name in SPEC_COMMANDS else []) + FLAG_ARGS[flag]
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, read in FLAGS_READ.items() for flag in FLAG_ARGS if flag not in read
+    ])
+    def test_unread_flag_exits_2(self, capsys, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command_argv(name, flag))
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, read in FLAGS_READ.items() for flag in sorted(read)
+    ])
+    def test_read_flag_parses(self, name, flag):
+        args = _build_parser().parse_args(command_argv(name, flag))
+        assert args.command == name
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line.removeprefix("$ ") for line in readme.read_text(encoding="utf-8").splitlines()
+                 if line.startswith(("cauchykit ", "$ cauchykit "))]
+        assert len(lines) >= 14
+        for line in lines:
+            line = re.sub(r"\[(--[^\]]*)\]", r"\1", line)  # [--kind min] -> --kind min
+            argv = [EXAMPLE if a == "SPEC" else a for a in shlex.split(line, comments=True)[1:]]
+            assert _build_parser().parse_args(argv).command == argv[0], line
 
 
 class TestExitCodeMapping:

@@ -430,6 +430,61 @@ class TestLemmaAb:
         assert lhs == rhs
 
 
+def lemma_by_products(a, b, w):
+    """Both sides of the trace identity with the right side read off the
+    whole products AB and BA."""
+    ctx = a.ctx
+    xs, ys = [ctx.coerce(x) for x in w.xs], [ctx.coerce(y) for y in w.ys]
+    lhs = ctx.zero
+    for i in range(a.rows):
+        for j in range(a.cols):
+            lhs = lhs + (xs[i] + ys[j]) * a.entry(i, j) * b.entry(j, i)
+    ab, ba = a * b, b * a
+    rhs = ctx.zero
+    for i in range(a.rows):
+        rhs = rhs + xs[i] * ab.entry(i, i)
+    for j in range(a.cols):
+        rhs = rhs + ys[j] * ba.entry(j, j)
+    return lhs, rhs
+
+
+def lemma_scalar(rng, ctx, dens):
+    if ctx is RING:  # signed, each with its own large prime denominator
+        return Q(rng.randint(-10**6, 10**6), dens.pop())
+    return ctx.coerce(rng.randrange(ctx.p))
+
+
+class TestLemmaTraceTerms:
+    """lemma_ab_check forms only the diagonals of AB and BA; each side must
+    match the evaluation through whole matrix products."""
+
+    @pytest.mark.parametrize("ctx", KERNEL_RINGS, ids=("rational", "f101", "f2^61-1"))
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (6, 3)])
+    def test_each_side_matches_whole_products(self, ctx, n, m):
+        rng = random.Random(97 * n + m)
+        for _ in range(3):
+            dens = rng.sample(BIG_PRIMES, 2 * n * m + n + m)
+            a = Matrix(n, m, [lemma_scalar(rng, ctx, dens) for _ in range(n * m)], ctx)
+            b = Matrix(m, n, [lemma_scalar(rng, ctx, dens) for _ in range(n * m)], ctx)
+            w = WeightVectors(tuple(lemma_scalar(rng, ctx, dens) for _ in range(n)),
+                              tuple(lemma_scalar(rng, ctx, dens) for _ in range(m)))
+            lhs, rhs = lemma_ab_check(a, b, w)
+            want_lhs, want_rhs = lemma_by_products(a, b, w)
+            assert lhs == want_lhs
+            assert rhs == want_rhs
+            assert lhs == rhs
+            assert ctx.coerce(rhs) == rhs
+
+    def test_no_whole_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("lemma_ab_check formed a whole product")
+
+        monkeypatch.setattr(Matrix, "__mul__", refuse)
+        a = Matrix.from_rows([[1, 2, 0], [3, 4, 5]], RING)
+        b = Matrix.from_rows([[5, 6], [7, 8], [1, -1]], RING)
+        assert lemma_ab_check(a, b, WeightVectors((1, 2), (3, 4, 5))) == (337, 337)
+
+
 class TestBorder:
     def test_one_by_one(self):
         a = Matrix.from_rows([[Q(5)]], RING)
