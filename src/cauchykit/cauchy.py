@@ -60,10 +60,11 @@ class CauchySpec:
     x_i + y_j = 0 exactly when x_i = -y_j, and fails fast with the first
     offending (i, j) in row-major order rather than deep inside a product later.
     A spec is immutable after construction: :func:`det_closed` and
-    :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``).
+    :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
+    and so does :meth:`weight_sum` (``_weight``).
     """
 
-    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict")
+    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -79,8 +80,7 @@ class CauchySpec:
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
-        self._det = None
-        self._verdict = None
+        self._det = self._verdict = self._weight = None
 
     @property
     def n(self) -> int:
@@ -88,12 +88,9 @@ class CauchySpec:
 
     def weight_sum(self) -> Scalar:
         """sum(x) + sum(y), the quantity the entry-sum identities revolve around."""
-        acc = self.ctx.zero
-        for x in self.xs:
-            acc = acc + x
-        for y in self.ys:
-            acc = acc + y
-        return acc
+        if self._weight is None:
+            self._weight = sum(self.xs + self.ys, self.ctx.zero)
+        return self._weight
 
     def __repr__(self):
         r = self.ctx.render

@@ -14,7 +14,6 @@ or is a JSON scalar that names no file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import random
@@ -248,7 +247,7 @@ def cmd_canary(args) -> int:
         closed, gauss = canary_mod.run_canary(canary_mod.hilbert_spec(n))
         reports.extend([closed, gauss])
     if args.format == "json":
-        print(_dump([dataclasses.asdict(r) for r in reports]))
+        print(_dump([vars(r) for r in reports]))
     elif args.format == "text":
         print(f"{'n':>3} {'method':>12} {'entry_sum_residual':>20} {'identity_residual':>20}")
         for r in reports:

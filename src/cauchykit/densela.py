@@ -50,9 +50,10 @@ COFACTOR_MAX = 8  # n! growth; 8 keeps the expansion at desk scale
 
 
 class Matrix:
-    """Dense rows x cols matrix of exact scalars, row-major, immutable."""
+    """Dense rows x cols matrix of exact scalars, row-major, immutable; it
+    keeps its determinant and inverse (``_det``, ``_inv``) once computed."""
 
-    __slots__ = ("rows", "cols", "ctx", "entries")
+    __slots__ = ("rows", "cols", "ctx", "entries", "_det", "_inv")
 
     def __init__(self, rows: int, cols: int, entries: Sequence, ctx: RingContext):
         if rows < 1 or cols < 1:
@@ -66,6 +67,7 @@ class Matrix:
         self.cols = cols
         self.ctx = ctx
         self.entries = coerced
+        self._det = self._inv = None
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: Sequence, ctx: RingContext) -> "Matrix":
@@ -74,6 +76,7 @@ class Matrix:
         skip the coercion and checks of the public constructor."""
         m = object.__new__(cls)
         m.rows, m.cols, m.ctx, m.entries = rows, cols, ctx, tuple(entries)
+        m._det = m._inv = None
         return m
 
     @classmethod
@@ -169,9 +172,12 @@ class Matrix:
     def det_fast(self) -> Scalar:
         """Determinant by Gaussian elimination, first nonzero pivot per
         column, on the raw integers of :func:`_eliminate` in either ring:
-        one Fraction or FpElement is made, for the result."""
+        one Fraction or FpElement is made, for the result. A determinant
+        already found by :meth:`inverse` is returned as it is."""
         self._require_square("det_fast")
-        return _eliminate(self)[0]
+        if self._det is None:
+            self._det = _eliminate(self)[0]
+        return self._det
 
     def charpoly(self) -> list:
         """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
@@ -224,32 +230,28 @@ class Matrix:
         Fraction or FpElement at the end.
 
         Raises NotInvertibleError (carrying the determinant) when the
-        determinant is not a unit.
+        determinant is not a unit. The run keeps the determinant for
+        :meth:`det_fast`; a zero determinant already known skips the run.
         """
         self._require_square("inverse")
-        det, inv = _eliminate(self, jordan=True)
-        if inv is None:
+        if self._inv is None and self._det != 0:
+            self._det, inv = _eliminate(self, jordan=True)
+            if inv is not None:
+                self._inv = Matrix._of(self.rows, self.cols, inv, self.ctx)
+        if self._inv is None:
+            det = self._det
             raise NotInvertibleError(det, f"matrix is singular: det = {self.ctx.render(det)}")
-        return Matrix._of(self.rows, self.cols, inv, self.ctx)
+        return self._inv
 
     def entry_sum(self) -> Scalar:
-        acc = self.ctx.zero
-        for e in self.entries:
-            acc = acc + e
-        return acc
+        return sum(self.entries, self.ctx.zero)
 
     def column_sum(self, j: int) -> Scalar:
-        acc = self.ctx.zero
-        for e in self.column(j):
-            acc = acc + e
-        return acc
+        return sum(self.column(j), self.ctx.zero)
 
     def trace(self) -> Scalar:
         self._require_square("trace")
-        acc = self.ctx.zero
-        for i in range(self.rows):
-            acc = acc + self.entries[i * self.cols + i]
-        return acc
+        return sum(self.entries[:: self.cols + 1], self.ctx.zero)
 
 
 def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
@@ -462,7 +464,7 @@ def border_with_ones(a: Matrix) -> Matrix:
         out.append(one)
     out.extend([one] * n)
     out.append(zero)
-    return Matrix(n + 1, n + 1, out, a.ctx)
+    return Matrix._of(n + 1, n + 1, out, a.ctx)
 
 
 def border_det_general(a: Matrix) -> tuple[Scalar, Scalar]:

@@ -18,6 +18,7 @@ is not used. Sorting needs a real order, so this module is rational-only.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,9 +39,12 @@ class UnsortedInputError(CauchyKitError):
 
 
 class MinSpec:
-    """Parameter vectors (rationals, equal length n >= 1) defining the matrix."""
+    """Parameter vectors (rationals, equal length n >= 1) defining the matrix.
 
-    __slots__ = ("xs", "ys")
+    A spec is immutable after construction, so it keeps its :func:`normalize`
+    result (``_sorted``) and its determinant's factors (``_factors``)."""
+
+    __slots__ = ("xs", "ys", "_sorted", "_factors")
 
     def __init__(self, xs: Sequence, ys: Sequence):
         self.xs = tuple(_coerce_rational(x) for x in xs)
@@ -49,6 +53,8 @@ class MinSpec:
             raise ValueError("need at least one parameter in each vector")
         if len(self.xs) != len(self.ys):
             raise ValueError(f"xs has {len(self.xs)} entries but ys has {len(self.ys)}")
+        self._sorted = None
+        self._factors = None
 
     @property
     def n(self) -> int:
@@ -62,17 +68,15 @@ class SortedMinSpec(MinSpec):
     """A MinSpec with x ascending, y ascending, and x[0] <= y[0].
 
     ``swapped`` records whether :func:`normalize` exchanged the roles of the
-    two vectors to make x[0] the overall minimum.
+    two vectors to make x[0] the overall minimum. Immutable like every spec,
+    it keeps ``_sorted`` and ``_factors`` too; its order is checked once, here.
     """
 
     __slots__ = ("swapped",)
 
     def __init__(self, xs: Sequence, ys: Sequence, swapped: bool = False):
         super().__init__(xs, ys)
-        _require_ascending(self.xs, "x")
-        _require_ascending(self.ys, "y")
-        if self.xs[0] > self.ys[0]:
-            raise UnsortedInputError("sorted spec needs x[0] <= y[0]; use normalize()")
+        _check_order(self, "sorted spec needs")
         self.swapped = swapped
 
 
@@ -82,81 +86,87 @@ def _coerce_rational(v) -> Fraction:
     return _RATIONAL.coerce(v)
 
 
-def _require_ascending(vec: tuple, name: str):
-    for k in range(1, len(vec)):
-        if vec[k - 1] > vec[k]:
-            raise UnsortedInputError(f"{name} vector is not ascending at position {k}")
+def _check_order(spec: MinSpec, cross: str = "") -> None:
+    """Both vectors ascending and, when ``cross`` names what needs it, x[0] <= y[0]."""
+    for name, vec in (("x", spec.xs), ("y", spec.ys)):
+        for k in range(1, len(vec)):
+            if vec[k - 1] > vec[k]:
+                raise UnsortedInputError(f"{name} vector is not ascending at position {k}")
+    if cross and spec.xs[0] > spec.ys[0]:
+        raise UnsortedInputError(f"{cross} x[0] <= y[0]; use normalize()")
+
+
+def _require_sorted(spec: MinSpec, cross: str = "") -> None:
+    """:func:`_check_order` for a plain MinSpec; a SortedMinSpec passed it when built."""
+    if not isinstance(spec, SortedMinSpec):
+        _check_order(spec, cross)
 
 
 def build(spec: MinSpec) -> Matrix:
     """The n x n matrix with entry (i, j) = min(x_i, y_j)."""
     entries = [min(x, y) for x in spec.xs for y in spec.ys]
-    return Matrix(spec.n, spec.n, entries, _RATIONAL)
+    return Matrix._of(spec.n, spec.n, entries, _RATIONAL)
 
 
 def normalize(spec: MinSpec) -> SortedMinSpec:
     """Sort each vector ascending, then swap the two if needed so that
     x[0] <= y[0]. Only the swap is recorded: every quantity reported by
     this module is insensitive to row/column permutations (entry sums,
-    |det|, det-zero), or is defined on the sorted spec itself."""
-    xs = tuple(sorted(spec.xs))
-    ys = tuple(sorted(spec.ys))
-    swapped = xs[0] > ys[0]
-    if swapped:
-        xs, ys = ys, xs
-    return SortedMinSpec(xs, ys, swapped)
+    |det|, det-zero), or is defined on the sorted spec itself. The result is
+    kept on ``spec``: every call on it returns the same SortedMinSpec."""
+    if spec._sorted is None:
+        xs = tuple(sorted(spec.xs))
+        ys = tuple(sorted(spec.ys))
+        swapped = xs[0] > ys[0]
+        if swapped:
+            xs, ys = ys, xs
+        spec._sorted = SortedMinSpec(xs, ys, swapped)
+    return spec._sorted
 
 
-def _require_nonsingular(spec: MinSpec) -> None:
-    # sorting permutes rows and columns and the x/y swap transposes, so the
-    # normalized spec's determinant is zero exactly when this one's is
-    if det_zero_predicate(normalize(spec)):
+def _require_nonsingular(spec: MinSpec) -> SortedMinSpec:
+    """The sorted form of ``spec`` (itself if sorted), once its determinant is
+    known to be nonzero; sorting permutes rows and columns, the swap transposes."""
+    s = spec if isinstance(spec, SortedMinSpec) else normalize(spec)
+    if det_zero_predicate(s):
         raise NotInvertibleError(Fraction(0), "min matrix is singular")
+    return s
 
 
 def inverse_entry_sum(spec: MinSpec) -> Fraction:
-    """Entry sum of the inverse: 1 / min of all 2n parameters.
+    """Entry sum of the inverse: 1 / min of all 2n parameters, x[0] of the sorted spec.
 
     Invertibility is checked in O(n) through the closed-form determinant's
     factors on the normalized spec; when the matrix is invertible the
     overall minimum cannot be zero (a zero minimum forces a zero row), so
     the division below is safe.
     """
-    _require_nonsingular(spec)
-    return Fraction(1) / min(min(spec.xs), min(spec.ys))
+    return Fraction(1) / _require_nonsingular(spec).xs[0]
 
 
 def inverse_column_sums(spec: SortedMinSpec) -> tuple[Fraction, ...]:
     """Column sums of the inverse for a sorted spec: (1/x[0], 0, ..., 0)."""
-    _require_ascending(spec.xs, "x")
-    _require_ascending(spec.ys, "y")
-    if spec.xs[0] > spec.ys[0]:
-        raise UnsortedInputError("column sums need x[0] <= y[0]; use normalize()")
+    _require_sorted(spec, "column sums need")
     _require_nonsingular(spec)
-    zero = Fraction(0)
-    return (Fraction(1) / spec.xs[0],) + (zero,) * (spec.n - 1)
+    return (Fraction(1) / spec.xs[0],) + (Fraction(0),) * (spec.n - 1)
 
 
 def _factors(spec: MinSpec) -> list[Fraction]:
-    """f[0][0] followed by the mixed second differences, k = 1..n-1."""
-    xs, ys = spec.xs, spec.ys
-    out = [min(xs[0], ys[0])]
-    for k in range(1, spec.n):
-        out.append(
+    """f[0][0] then the mixed second differences, k = 1..n-1, kept on the spec."""
+    if spec._factors is None:
+        xs, ys = spec.xs, spec.ys
+        spec._factors = [min(xs[0], ys[0])] + [
             min(xs[k], ys[k]) - min(xs[k], ys[k - 1]) - min(xs[k - 1], ys[k]) + min(xs[k - 1], ys[k - 1])
-        )
-    return out
+            for k in range(1, spec.n)
+        ]
+    return spec._factors
 
 
 def det_closed(spec: MinSpec) -> Fraction:
     """Closed-form determinant for x ascending and y ascending (the x/y swap
     of normalize() is not needed here). Product of :func:`_factors`."""
-    _require_ascending(spec.xs, "x")
-    _require_ascending(spec.ys, "y")
-    det = Fraction(1)
-    for f in _factors(spec):
-        det *= f
-    return det
+    _require_sorted(spec)
+    return math.prod(_factors(spec), start=Fraction(1))
 
 
 def det_zero_predicate(spec: MinSpec) -> bool:
@@ -164,6 +174,5 @@ def det_zero_predicate(spec: MinSpec) -> bool:
     scanning the closed form's factors for a zero. Interleavings that are
     insufficiently balanced (say, three y's between consecutive x's) make a
     factor collapse."""
-    _require_ascending(spec.xs, "x")
-    _require_ascending(spec.ys, "y")
+    _require_sorted(spec)
     return any(f == 0 for f in _factors(spec))

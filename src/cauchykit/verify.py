@@ -18,9 +18,11 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import cauchy, minmat
-from .densela import Matrix, WeightVectors, border_det_general, lemma_ab_check, matrix_to_json
+from .densela import (Matrix, WeightVectors, border_det_general, border_with_ones, lemma_ab_check,
+                      matrix_to_json)
 from .ring import (
     CauchyKitError,
+    NotInvertibleError,
     PrimeField,
     RationalRing,
     RingContext,
@@ -222,7 +224,7 @@ def random_min_spec(rng: random.Random, n: int) -> minmat.MinSpec:
 
 
 def random_matrix(rng: random.Random, ctx: RingContext, rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, [random_scalar(rng, ctx) for _ in range(rows * cols)], ctx)
+    return Matrix._of(rows, cols, [random_scalar(rng, ctx) for _ in range(rows * cols)], ctx)
 
 
 def random_weights(rng: random.Random, ctx: RingContext, n: int, m: int) -> WeightVectors:
@@ -240,53 +242,58 @@ def render_matrix(m: Matrix) -> str:
     return json.dumps(matrix_to_json(m)["entries"], separators=(",", ":"))
 
 
-def _min_column_sums_oracle(spec) -> tuple:
-    inv = minmat.build(spec).inverse()
-    return tuple(inv.column_sum(j) for j in range(spec.n))
+def _gauss_jordan(m: Matrix) -> Matrix:
+    """``m`` after its one Gauss-Jordan run (:meth:`Matrix.inverse`), which leaves
+    the determinant, and the inverse if there is one, on it for the oracles."""
+    try:
+        m.inverse()
+    except NotInvertibleError:
+        pass
+    return m
 
 
-# identity -> (closed form, oracle, render). Ring scalars render with str,
-# which is what ctx.render gives for them. The lambdas look module functions
-# up at call time, so a module attribute replaced later (say, by a tracing
-# wrapper) is the one that runs.
+# identity -> (closed form, oracle, render). An oracle reads the spec and its
+# matrix. Ring scalars render with str, which is what ctx.render gives for
+# them. The lambdas look module functions up at call time, so a module
+# attribute replaced later (say, by a tracing wrapper) is the one that runs.
 IDENTITIES = {
-    "cauchy_det": (lambda s: cauchy.det_closed(s), lambda s: cauchy.build(s).det_fast(), str),
+    "cauchy_det": (lambda s: cauchy.det_closed(s), lambda s, m: m.det_fast(), str),
     "inverse_entry_sum": (
-        lambda s: cauchy.inverse_entry_sum(s), lambda s: cauchy.build(s).inverse().entry_sum(), str
+        lambda s: cauchy.inverse_entry_sum(s), lambda s, m: m.inverse().entry_sum(), str
     ),
-    "inverse_entrywise": (
-        lambda s: cauchy.inverse_closed(s), lambda s: cauchy.build(s).inverse(), render_matrix
-    ),
+    "inverse_entrywise": (lambda s: cauchy.inverse_closed(s), lambda s, m: m.inverse(), render_matrix),
     "adjugate_entry_sum": (
-        lambda s: cauchy.adjugate_entry_sum_closed(s),
-        lambda s: cauchy.build(s).adjugate_entry_sum(),
-        str,
+        lambda s: cauchy.adjugate_entry_sum_closed(s), lambda s, m: m.adjugate_entry_sum(), str
     ),
     "bordered_det": (
-        lambda s: cauchy.bordered_det_closed(s), lambda s: cauchy.bordered_matrix(s).det_fast(), str
+        lambda s: cauchy.bordered_det_closed(s), lambda s, m: border_with_ones(m).det_fast(), str
     ),
     "invertibility_criterion": (
         lambda s: cauchy.is_invertible_spec(s).invertible,
-        lambda s: s.ctx.is_invertible(cauchy.det_closed(s)),
+        lambda s, m: s.ctx.is_invertible(cauchy.det_closed(s)),
         json.dumps,
     ),
-    "min_det": (lambda s: minmat.det_closed(s), lambda s: minmat.build(s).det_fast(), str),
+    "min_det": (lambda s: minmat.det_closed(s), lambda s, m: m.det_fast(), str),
     "min_inverse_entry_sum": (
-        lambda s: minmat.inverse_entry_sum(s), lambda s: minmat.build(s).inverse().entry_sum(), str
+        lambda s: minmat.inverse_entry_sum(s), lambda s, m: m.inverse().entry_sum(), str
     ),
     "min_inverse_column_sums": (
         lambda s: minmat.inverse_column_sums(s),
-        _min_column_sums_oracle,
+        lambda s, m: tuple(map(m.inverse().column_sum, range(s.n))),
         lambda vs: json.dumps([str(v) for v in vs], separators=(",", ":")),
     ),
 }
 
 
-def check_identity(identity: str, spec, seed=None) -> VerificationReport:
+def check_identity(identity: str, spec, seed=None, matrix=None) -> VerificationReport:
     """Check one identity of :data:`IDENTITIES` on a Cauchy or min spec: the
-    closed form is evaluated first, so its precondition errors come first."""
+    closed form is evaluated first, so its precondition errors come first.
+    The oracle reads the spec's matrix: ``matrix``, or one built here."""
     closed, oracle, render = IDENTITIES[identity]
-    return _report(identity, render(closed(spec)), render(oracle(spec)), spec_to_json(spec), seed)
+    lhs = render(closed(spec))
+    if matrix is None:
+        matrix = (minmat.build if isinstance(spec, minmat.MinSpec) else cauchy.build)(spec)
+    return _report(identity, lhs, render(oracle(spec, matrix)), spec_to_json(spec), seed)
 
 
 def check_border_general(a: Matrix, seed=None) -> VerificationReport:
@@ -325,7 +332,8 @@ def check_lemma_ab(a: Matrix, b: Matrix, w: WeightVectors, seed=None) -> Verific
 
 def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
     """Run every identity check ``trials`` times on seeded random inputs,
-    alternating ring contexts where both apply. Deterministic in ``seed``."""
+    alternating ring contexts where both apply. Deterministic in ``seed``.
+    Each spec's matrix is built once, with at most one Gauss-Jordan run."""
     rng = random.Random(seed)
     rings = (RationalRing(), PrimeField(101))
     reports: list[VerificationReport] = []
@@ -334,14 +342,16 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
         n = rng.randint(1, n_max)
 
         spec = random_cauchy_spec(rng, ctx, n)
+        c = _gauss_jordan(cauchy.build(spec))
         for identity in ("cauchy_det", "inverse_entry_sum", "inverse_entrywise", "bordered_det"):
-            reports.append(check_identity(identity, spec, seed))
+            reports.append(check_identity(identity, spec, seed, c))
 
         # every other trial, degrade the spec so the adjugate identity and
         # the invertibility criterion see the singular branch too
         probe = force_repeated_value(rng, spec) if t % 2 == 0 else spec
-        reports.append(check_identity("adjugate_entry_sum", probe, seed))
-        reports.append(check_identity("invertibility_criterion", probe, seed))
+        pc = c if probe is spec else cauchy.build(probe)
+        reports.append(check_identity("adjugate_entry_sum", probe, seed, pc))
+        reports.append(check_identity("invertibility_criterion", probe, seed, pc))
 
         side = rng.randint(1, min(n_max, 5))
         reports.append(check_border_general(random_matrix(rng, ctx, side, side), seed))
@@ -358,8 +368,12 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
 
         mspec = random_min_spec(rng, n)
         sorted_spec = minmat.normalize(mspec)
-        reports.append(check_identity("min_det", sorted_spec, seed))
-        if minmat.build(mspec).det_fast() != 0:
-            reports.append(check_identity("min_inverse_entry_sum", mspec, seed))
-            reports.append(check_identity("min_inverse_column_sums", sorted_spec, seed))
+        m, ms = _gauss_jordan(minmat.build(mspec)), minmat.build(sorted_spec)
+        invertible = m.det_fast() != 0
+        if invertible:  # min_det's determinant and the column sums' inverse in one run
+            _gauss_jordan(ms)
+        reports.append(check_identity("min_det", sorted_spec, seed, ms))
+        if invertible:
+            reports.append(check_identity("min_inverse_entry_sum", mspec, seed, m))
+            reports.append(check_identity("min_inverse_column_sums", sorted_spec, seed, ms))
     return reports

@@ -275,6 +275,27 @@ class TestVerify:
                 "output of the parent commit to see which report moved"
             )
 
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        (
+            (["verify", "--seed", "3", "--trials", "20", "--n", "8", "--format", "text"],
+             "489761b4f3cc38800ab2b51c3f7439f8611b39af5b03064368dd5329f4bce393"),
+            (["lemma-ab", "--seed", "5", "--n", "8", "--trials", "30", "--format", "csv"],
+             "260484c42788552d3a299210505ce0a3938f20c9b470d41cd6a0d2b996222bd9"),
+            (["canary", "--format", "text"],
+             "2f3d5626e32f5ceb4c818d8ca8e59c0d624123b908b49af018887e01b0ae3b1d"),
+            (["gen", "--seed", "9", "--n", "8"],
+             "bfd1675daa2f8216b2fc3e48a2c047defa32dc1053e66eddaec9d56ad6aa016c"),
+        ),
+        ids=("verify-text", "lemma-ab-csv", "canary-text", "gen"),
+    )
+    def test_other_outputs_are_pinned(self, capsys, argv, pinned):
+        _, out, _ = run(capsys, *argv)
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned, (
+            f"`cauchykit {' '.join(argv)}` stdout changed; diff it against the "
+            "output of the parent commit"
+        )
+
     def test_calls_in_one_process_share_no_state(self, capsys):
         # the parser is built once per process; each call parses afresh
         src = str(Path(cauchykit.__file__).resolve().parents[1])
@@ -354,6 +375,8 @@ class TestCanaryCommand:
         assert code == EXIT_OK
         reports = json.loads(out)
         assert {r["method"] for r in reports} == {"closed_form", "gauss_pp"}
+        fields = {"n", "method", "entry_sum_residual", "identity_residual", "elapsed"}
+        assert all(set(r) == fields for r in reports)
 
 
 SPEC_COMMANDS = ("build", "det", "inv", "invsum", "adjsum", "border", "min-det", "min-invsum",

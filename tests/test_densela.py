@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cauchykit import densela
 from cauchykit.densela import (
     Matrix,
     ShapeError,
@@ -299,6 +300,56 @@ def kernel_matrix(rng, ctx, n, kind):
         rows[-1] = [sum((c * row[j] for c, row in zip(coef, rows)), 0 * rows[0][0])
                     for j in range(n)]
     return Matrix.from_rows(rows, ctx)
+
+
+class TestKeptResults:
+    """A matrix keeps its determinant and inverse: one elimination serves both."""
+
+    def count_eliminations(self, monkeypatch):
+        calls = []
+        eliminate = densela._eliminate
+
+        def counting(a, jordan=False):
+            calls.append(jordan)
+            return eliminate(a, jordan)
+
+        monkeypatch.setattr(densela, "_eliminate", counting)
+        return calls
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_inverse_then_det(self, monkeypatch, ctx):
+        calls = self.count_eliminations(monkeypatch)
+        m = rand_matrix(random.Random(41), ctx, 5, 5)
+        fresh = Matrix(5, 5, m.entries, ctx)
+        inv = m.inverse()
+        assert m.inverse() is inv and m.det_fast() == fresh.det_fast()
+        assert calls == [True, False]  # one run each for m and fresh
+
+    def test_det_then_inverse(self, monkeypatch):
+        calls = self.count_eliminations(monkeypatch)
+        m = Matrix.from_rows([[1, 2], [3, 4]], RING)
+        assert m.det_fast() == -2 and m.det_fast() == -2
+        assert m.inverse().to_rows() == [[-2, 1], [Q(3, 2), Q(-1, 2)]]
+        assert calls == [False, True]
+
+    @pytest.mark.parametrize("first", ("inverse", "det_fast"))
+    def test_singular_raises_on_every_call(self, monkeypatch, first):
+        calls = self.count_eliminations(monkeypatch)
+        m = Matrix.from_rows([[1, 2], [2, 4]], RING)
+        if first == "det_fast":
+            assert m.det_fast() == 0
+        for _ in range(3):
+            with pytest.raises(NotInvertibleError, match="det = 0") as info:
+                m.inverse()
+            assert info.value.value == 0
+        assert m.det_fast() == 0
+        assert len(calls) == 1
+
+    def test_equality_ignores_kept_results(self):
+        m = Matrix.from_rows([[1, 2], [3, 5]], RING)
+        other = Matrix.from_rows([[1, 2], [3, 5]], RING)
+        m.inverse()
+        assert m == other and hash(m) == hash(other)
 
 
 class TestEliminationKernel:

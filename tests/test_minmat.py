@@ -1,8 +1,13 @@
+import contextlib
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
 
+from cauchykit import minmat
+from cauchykit.densela import Matrix
 from cauchykit.minmat import (
     MinSpec,
     SortedMinSpec,
@@ -215,3 +220,107 @@ class TestDetZeroPredicate:
             sorted_spec = MinSpec(sorted(spec.xs), sorted(spec.ys))
             assert det_zero_predicate(sorted_spec) == (det_closed(sorted_spec) == 0)
             assert det_zero_predicate(sorted_spec) == (build(sorted_spec).det_fast() == 0)
+
+
+class TestPerSpecMemo:
+    @staticmethod
+    def count(monkeypatch, name, fn):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(minmat, name, counting, raising=False)
+        return calls
+
+    def battery(self, spec):
+        s = normalize(spec)
+        out = [s, det_closed(s), det_zero_predicate(s)]
+        for fn, arg in ((inverse_entry_sum, spec), (inverse_column_sums, s)):
+            try:
+                out.append(fn(arg))
+            except NotInvertibleError:
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("singular", (False, True), ids=("invertible", "singular"))
+    def test_battery_sorts_and_factors_once(self, monkeypatch, singular):
+        sorts = self.count(monkeypatch, "sorted", sorted)
+        mins = self.count(monkeypatch, "min", min)
+        xs, ys = [Q(5), Q(1), Q(7), Q(3)], [Q(4), Q(8), Q(2), Q(6)]  # 1 < 2 < 3 < ... < 8
+        if singular:
+            xs[3], ys[2] = ys[2], xs[3]  # x = 1, 2 below y = 3: the first difference is 0
+        spec = MinSpec(xs, ys)
+        s, det, zero = self.battery(spec)[:3]
+        assert [args[0] for args in sorts] == [spec.xs, spec.ys]
+        assert len(mins) == 4 * spec.n - 3  # one factor pass: f[0][0], then 4 mins a factor
+        assert zero == (det == 0) == singular
+        assert self.battery(spec)[:3] == [s, det, zero]  # the same spec again: nothing recomputed
+        assert len(sorts) == 2 and len(mins) == 4 * spec.n - 3
+        assert normalize(spec) is s and normalize(s) is normalize(s)
+
+    def test_singular_spec_raises_on_every_call(self):
+        spec = MinSpec([1, 2], [3, 4])
+        for _ in range(3):
+            with pytest.raises(NotInvertibleError, match="singular"):
+                inverse_entry_sum(spec)
+            with pytest.raises(NotInvertibleError, match="singular"):
+                inverse_column_sums(normalize(spec))
+
+    def test_nothing_leaks_across_specs(self):
+        first, second = MinSpec([1, 3], [2, 4]), MinSpec([1, Q(5, 2)], [2, 4])
+        for spec in (first, second):
+            s = normalize(spec)
+            assert det_closed(s) == build(s).det_fast()
+            assert inverse_entry_sum(spec) == build(spec).inverse().entry_sum()
+        assert normalize(first) is not normalize(second)
+        assert det_closed(normalize(first)) == 1 and det_closed(normalize(second)) == Q(1, 2)
+
+    def test_plain_unsorted_spec_is_checked_on_every_call(self):
+        spec = MinSpec([3, 1], [2, 4])
+        for _ in range(2):
+            with pytest.raises(UnsortedInputError, match="x vector is not ascending at position 1"):
+                det_closed(spec)
+            with pytest.raises(UnsortedInputError, match="x vector is not ascending at position 1"):
+                det_zero_predicate(spec)
+            with pytest.raises(UnsortedInputError, match="x vector is not ascending at position 1"):
+                inverse_column_sums(spec)
+        with pytest.raises(UnsortedInputError, match=r"column sums need x\[0\] <= y\[0\]"):
+            inverse_column_sums(MinSpec([3, 4], [1, 2]))
+        normalize(spec)  # a kept sorted form does not make the plain spec sorted
+        with pytest.raises(UnsortedInputError):
+            det_closed(spec)
+
+    def test_threads_racing_on_first_use_agree(self):
+        # kept results are set on first use without a lock: racing threads may
+        # each compute one, and every thread must still read the same values
+        rng = random.Random(151)
+        specs = [rand_spec(rng, 6) for _ in range(40)]
+        expected = [self.battery(MinSpec(s.xs, s.ys))[1:] for s in specs]
+        matrices = [build(s) for s in specs]
+        dets = [Matrix(6, 6, m.entries, m.ctx).det_fast() for m in matrices]
+        errors = []
+
+        def work():
+            try:
+                for spec, m, want, det in zip(specs, matrices, expected, dets):
+                    assert self.battery(spec)[1:] == want
+                    with contextlib.suppress(NotInvertibleError):
+                        m.inverse()
+                    assert m.det_fast() == det
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []

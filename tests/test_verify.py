@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cauchykit import cauchy, minmat
+from cauchykit import cauchy, densela, minmat
+from cauchykit.densela import Matrix
 from cauchykit.ring import PrimeField, RationalRing
 from cauchykit.verify import (
     SpecFormatError,
@@ -151,3 +152,39 @@ class TestSuite:
             "min_inverse_entry_sum",
             "min_inverse_column_sums",
         }
+
+
+class TestOneBuildPerSpec:
+    def count(self, monkeypatch, owner, name):
+        calls = []
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", (2, 3, 5, 9))  # n = 1, 2, 5, 4; the last two singular min
+    def test_one_trial(self, monkeypatch, seed):
+        cauchy_builds = self.count(monkeypatch, cauchy, "build")
+        min_builds = self.count(monkeypatch, minmat, "build")
+        inverses = self.count(monkeypatch, Matrix, "inverse")
+        eliminations = self.count(monkeypatch, densela, "_eliminate")
+        reports = run_suite(seed=seed, trials=1, n_max=6)
+        assert all(r.passed for r in reports)
+        n = len(reports[0].spec_echo["xs"])
+        min_invertible = any(r.identity == "min_inverse_entry_sum" for r in reports)
+        # the spec, and the probe with a forced repeat when n >= 2
+        assert len(cauchy_builds) == (2 if n >= 2 else 1)
+        assert len(min_builds) == 2  # the spec and its normalized form
+        # one Gauss-Jordan run on the Cauchy matrix and on the min matrix, plus
+        # one on the sorted min matrix when it is invertible; every other
+        # inverse call reads a kept inverse
+        jordan = [args for args, kwargs in eliminations if kwargs.get("jordan")]
+        assert len(jordan) == (3 if min_invertible else 2)
+        assert len(inverses) == (7 if min_invertible else 4)
+        # no matrix is eliminated twice, whether for its determinant or its inverse
+        matrices = [args[0] for args, _ in eliminations]
+        assert len({id(m) for m in matrices}) == len(matrices)
