@@ -14,7 +14,8 @@ rounds correctly, so it equals float() of the exact entry bit for bit with
 no exact matrix built. The identity residual is taken entry by entry, each
 entry of C * C_inv an fsum of its rounded products, with no product matrix.
 
-Floats live only here; the rest of the package is exact.
+The closed-form route rounds the inverse's scales with its own float-only
+:func:`_scale`. Floats live only here; the rest of the package is exact.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cauchy import CauchySpec, _ints, _scale, _sums, is_invertible_spec
-from .densela import Matrix
+from .cauchy import CauchySpec, _ints, _sums, is_invertible_spec
 from .ring import CauchyKitError, NotInvertibleError, RationalRing
 
 
@@ -59,13 +59,9 @@ class FloatMatrix:
             flat.extend(r)
         return cls(rows, cols, flat)
 
-    @classmethod
-    def from_exact(cls, m: Matrix) -> "FloatMatrix":
-        if not isinstance(m.ctx, RationalRing):
-            raise CauchyKitError("only rational matrices have a float image")
-        return cls(m.rows, m.cols, [float(e) for e in m.entries])
-
     def entry(self, i: int, j: int) -> float:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) out of range for {self.rows}x{self.cols}")
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[float]]:
@@ -146,6 +142,18 @@ def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
     return FloatMatrix.from_rows(inv)
 
 
+def _scale(us: Sequence[float], vs: Sequence[float], j: int) -> float:
+    """prod_k (u_j + v_k) / prod_{k != j} (u_j - u_k) in floats, in O(n): the
+    column scale a_j with (xs, ys), the row scale b_i with (ys, xs). Each
+    product is rounded as it grows, and the quotient is num * (1/den)."""
+    num = den = 1.0
+    for k in range(len(us)):
+        num = num * (us[j] + vs[k])
+        if k != j:
+            den = den * (us[j] - us[k])
+    return num * (1.0 / den)
+
+
 def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
     """Closed-form inverse evaluated in float arithmetic: the same scaled
     transpose as the exact path, with every operation rounded to 64-bit."""
@@ -153,8 +161,8 @@ def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
         raise CauchyKitError("float evaluation needs rational parameters")
     xs = [float(x) for x in spec.xs]
     ys = [float(y) for y in spec.ys]
-    a = [_scale(xs, ys, j, 1.0, lambda v: 1.0 / v) for j in range(spec.n)]
-    b = [_scale(ys, xs, i, 1.0, lambda v: 1.0 / v) for i in range(spec.n)]
+    a = [_scale(xs, ys, j) for j in range(spec.n)]
+    b = [_scale(ys, xs, i) for i in range(spec.n)]
     entries = [b_i * a_j / (x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
     return FloatMatrix(spec.n, spec.n, entries)
 

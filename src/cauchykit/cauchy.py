@@ -18,11 +18,11 @@ This module holds the constructions and closed-form results:
   invertibility assumption at all,
 * the ones-bordered determinant, -(sum(x) + sum(y)) * det.
 
-The determinant, the matrix and its inverse run on one integer kernel
-(:func:`_ints`): each parameter is lifted to its own integer pair, the
-differences and sums are cross-multiplied, and each result crosses back
-into the ring once, as one Fraction over Q or, over F_p, after one batch
-inversion of all its denominators.
+The determinant, the matrix, its inverse and any one inverse entry run on
+one integer kernel (:func:`_ints`): each parameter is lifted to its own
+integer pair, the differences and sums are cross-multiplied, and each
+result crosses back into the ring once, as one Fraction over Q or, over
+F_p, after one (batch) inversion of all its denominators.
 
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .densela import Matrix, border_with_ones
+from .densela import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
                    Scalar, _inv_all_mod)
 
@@ -137,15 +137,15 @@ def _sums(xs: list, ys: list) -> list[list]:
     return [[a * s + r * q for r, s in ys] for a, q in xs]
 
 
-def _scales(us: list, rows, p: int) -> list[tuple[int, int]]:
-    """Integer column scales (A_j, D_j) = (prod(rows[j]), q_j * prod_{k != j}
-    (a_j q_k - a_k q_j)) for us = xs and rows = sums; with us = ys and the
-    columns of sums they are the row scales (B_i, E_i). The denominators of
-    the closed form cancel, leaving inv[i, j] = A_j B_i / (D_j E_i sums[j][i]).
-    The us are distinct, so the k = j difference is the only 0; it stands in
-    for the factor q_j."""
-    return [(_prod(row, p), _prod([a * t - c * q or q for c, t in us], p))
-            for (a, q), row in zip(us, rows)]
+def _int_scale(us: list, k: int, row, p: int) -> tuple[int, int]:
+    """Integer column scale (A_k, D_k) = (prod(row), q_k * prod_{m != k}
+    (a_k q_m - a_m q_k)) for us = xs and row = sums[k]; with us = ys and
+    column k of sums it is the row scale (B_k, E_k). The denominators of the
+    closed form cancel, leaving inv[i, j] = A_j B_i / (D_j E_i sums[j][i]).
+    The us are distinct, so the m = k difference is the only 0; it stands in
+    for the factor q_k."""
+    a, q = us[k]
+    return _prod(row, p), _prod([a * t - c * q or q for c, t in us], p)
 
 
 def build(spec: CauchySpec) -> Matrix:
@@ -206,21 +206,6 @@ def _require_invertible(spec: CauchySpec):
         )
 
 
-def _scale(us: Sequence, vs: Sequence, j: int, one, inv):
-    """prod_k (u_j + v_k) * inv(prod_{k != j} (u_j - u_k)), in O(n).
-
-    With (xs, ys) this is the column scale a_j of the inverse, with (ys, xs)
-    the row scale b_i; ``one`` and ``inv`` pick the arithmetic, so the float
-    canary evaluates the same formula.
-    """
-    num = den = one
-    for k in range(len(us)):
-        num = num * (us[j] + vs[k])
-        if k != j:
-            den = den * (us[j] - us[k])
-    return num * inv(den)
-
-
 def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
     """Single entry of the inverse, directly from the parameters in O(n):
 
@@ -230,28 +215,32 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
                                     * prod_{k != i} (y_i - y_k) ).
 
     The numerator's (x_j + y_k) factor is the one confirmed against the
-    Gauss-Jordan oracle inverse; see the formula-resolution test.
+    Gauss-Jordan oracle inverse; see the formula-resolution test. Row j and
+    column i of the integer pair sums give the two :func:`_int_scale` pairs.
     """
     _require_invertible(spec)
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    ctx, xs, ys = spec.ctx, spec.xs, spec.ys
-    a_j = _scale(xs, ys, j, ctx.one, ctx.inv)
-    b_i = _scale(ys, xs, i, ctx.one, ctx.inv)
-    return b_i * a_j * ctx.inv(xs[j] + ys[i])
+    xs, ys, p = _ints(spec)
+    (a, q), (r, s) = xs[j], ys[i]
+    na, da = _int_scale(xs, j, [a * t + c * q for c, t in ys], p)
+    nb, db = _int_scale(ys, i, [c * s + r * t for c, t in xs], p)
+    num, den = _prod([na, nb], p), _prod([da, db, a * s + r * q], p)
+    return spec.ctx.inv(den) * num if p else Fraction(num, den)
 
 
 def inverse_closed(spec: CauchySpec) -> Matrix:
     """Whole inverse in O(n^2) integer operations (plus bignum growth):
-    diag(b) * C^T * diag(a) on the integer scales of :func:`_scales`. Over Q
+    diag(b) * C^T * diag(a) on the integer scales of :func:`_int_scale`. Over Q
     each entry is one Fraction; over F_p one batch inversion covers the 2n
     scale denominators and the n^2 pair sums."""
     _require_invertible(spec)
     xs, ys, p = _ints(spec)
     sums = _sums(xs, ys)
     cols = list(zip(*sums))
-    a, b = _scales(xs, sums, p), _scales(ys, cols, p)
+    a = [_int_scale(xs, j, row, p) for j, row in enumerate(sums)]
+    b = [_int_scale(ys, i, col, p) for i, col in enumerate(cols)]
     if p:
         inv = iter(_inv_all_mod([d for _, d in a + b] + [v for col in cols for v in col], p))
         a = [na * next(inv) % p for na, _ in a]
@@ -280,12 +269,6 @@ def adjugate_entry_sum_closed(spec: CauchySpec) -> Scalar:
     legitimate input with answer 0.
     """
     return spec.weight_sum() * det_closed(spec)
-
-
-def bordered_matrix(spec: CauchySpec) -> Matrix:
-    """The (n+1) x (n+1) extension: a ones row at the bottom, a ones column
-    at the right, and 0 in the corner."""
-    return border_with_ones(build(spec))
 
 
 def bordered_det_closed(spec: CauchySpec) -> Scalar:

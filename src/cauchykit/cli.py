@@ -82,36 +82,16 @@ def _read_spec_arg(arg: str):
         raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _load_spec(args):
-    return verify.spec_from_json(
+def _load_spec(args, kind: str | None = None, prepare=None):
+    """The SPEC argument's spec, which must be of ``kind`` if given, mapped by ``prepare`` if given."""
+    spec = verify.spec_from_json(
         _read_spec_arg(args.spec),
         default_ring=_parse_ring(args.ring),
         negate_ys=args.minus_convention,
     )
-
-
-def _load_cauchy_spec(args) -> cauchy.CauchySpec:
-    spec = _load_spec(args)
-    if not isinstance(spec, cauchy.CauchySpec):
-        raise verify.SpecFormatError("this subcommand needs a cauchy spec")
-    return spec
-
-
-def _load_min_spec(args) -> minmat.MinSpec:
-    spec = _load_spec(args)
-    if not isinstance(spec, minmat.MinSpec):
-        raise verify.SpecFormatError("this subcommand needs a min spec")
-    return spec
-
-
-def _load_min_spec_sorted(args) -> minmat.MinSpec:
-    # the determinant closed form wants each vector ascending but no x/y swap
-    spec = _load_min_spec(args)
-    return minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))
-
-
-def _load_min_spec_normalized(args) -> minmat.SortedMinSpec:
-    return minmat.normalize(_load_min_spec(args))
+    if kind is not None and isinstance(spec, minmat.MinSpec) != (kind == "min"):
+        raise verify.SpecFormatError(f"this subcommand needs a {kind} spec")
+    return spec if prepare is None else prepare(spec)
 
 
 def _dump(obj) -> str:
@@ -152,13 +132,6 @@ def _exit_code_for(reports) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_IDENTITY
 
 
-def _emit_value(args, payload: dict, text_value: str) -> None:
-    if args.format == "text":
-        print(text_value)
-    else:
-        print(_dump(payload))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -191,21 +164,24 @@ def cmd_build(args) -> int:
 
 
 def cmd_det(args) -> int:
-    spec = _load_cauchy_spec(args)
+    spec = _load_spec(args, "cauchy")
     value = spec.ctx.render(cauchy.det_closed(spec))
-    _emit_value(args, {"det": value, "spec_echo": verify.spec_to_json(spec)}, value)
+    if args.format == "text":
+        print(value)
+    else:
+        print(_dump({"det": value, "spec_echo": verify.spec_to_json(spec)}))
     return EXIT_OK
 
 
 def cmd_inv(args) -> int:
-    spec = _load_cauchy_spec(args)
+    spec = _load_spec(args, "cauchy")
     print(_dump(matrix_to_json(cauchy.inverse_closed(spec))))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    identity, load = args.check
-    report = verify.check_identity(identity, load(args))
+    identity, kind, prepare = args.check
+    report = verify.check_identity(identity, _load_spec(args, kind, prepare))
     _emit_reports([report], args.format)
     return _exit_code_for([report])
 
@@ -213,17 +189,7 @@ def cmd_check(args) -> int:
 def cmd_lemma_ab(args) -> int:
     rng = random.Random(args.seed)
     ctx = _parse_ring(args.ring)
-    reports = []
-    for _ in range(args.trials):
-        n, m = rng.randint(1, args.n), rng.randint(1, args.n)
-        reports.append(
-            verify.check_lemma_ab(
-                verify.random_matrix(rng, ctx, n, m),
-                verify.random_matrix(rng, ctx, m, n),
-                verify.random_weights(rng, ctx, n, m),
-                seed=args.seed,
-            )
-        )
+    reports = [verify.random_lemma_ab(rng, ctx, args.n, args.seed) for _ in range(args.trials)]
     _emit_reports(reports, args.format)
     return _exit_code_for(reports)
 
@@ -308,13 +274,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify": (cmd_verify, ("--seed", "--trials", "--n"), "run the full seeded identity suite"),
         "canary": (cmd_canary, ("--n",), "float ill-conditioning canary on Hilbert matrices"),
     }
-    checks = {  # cmd_check rows: the identity and the loader of its spec
-        "invsum": ("inverse_entry_sum", _load_cauchy_spec),
-        "adjsum": ("adjugate_entry_sum", _load_cauchy_spec),
-        "border": ("bordered_det", _load_cauchy_spec),
-        "min-det": ("min_det", _load_min_spec_sorted),
-        "min-invsum": ("min_inverse_entry_sum", _load_min_spec),
-        "min-colsums": ("min_inverse_column_sums", _load_min_spec_normalized),
+    checks = {  # cmd_check rows: the identity, the kind of its spec and how to prepare it
+        "invsum": ("inverse_entry_sum", "cauchy", None),
+        "adjsum": ("adjugate_entry_sum", "cauchy", None),
+        "border": ("bordered_det", "cauchy", None),
+        # the determinant closed form wants each vector ascending but no x/y swap
+        "min-det": ("min_det", "min", lambda spec: minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))),
+        "min-invsum": ("min_inverse_entry_sum", "min", None),
+        "min-colsums": ("min_inverse_column_sums", "min", minmat.normalize),
     }
     for name, (handler, reads, help_text) in specs.items():
         p = sub.add_parser(name, help=help_text)

@@ -103,6 +103,8 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows} rows")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
@@ -467,16 +469,6 @@ def border_with_ones(a: Matrix) -> Matrix:
     return Matrix._of(n + 1, n + 1, out, a.ctx)
 
 
-def border_det_general(a: Matrix) -> tuple[Scalar, Scalar]:
-    """Return (det of the ones-bordered extension of A, entry sum of adj(A)).
-
-    For every square A these satisfy det(B) = -entry_sum(adj(A)); both values
-    are returned so the caller can verify rather than trust.
-    """
-    b = border_with_ones(a)
-    return b.det_fast(), a.adjugate_entry_sum()
-
-
 def matrix_to_json(a: Matrix) -> dict:
     """Render as the interchange form {"rows", "cols", "entries"} with
     entries as per-ring canonical strings, nested by row."""
@@ -485,18 +477,3 @@ def matrix_to_json(a: Matrix) -> dict:
         "cols": a.cols,
         "entries": [[a.ctx.render(e) for e in a.row(i)] for i in range(a.rows)],
     }
-
-
-def matrix_from_json(obj: dict, ctx: RingContext) -> Matrix:
-    try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ShapeError(f"matrix JSON needs rows/cols/entries: {exc}") from exc
-    if len(entries) != rows:
-        raise ShapeError(f"matrix JSON declares {rows} rows but has {len(entries)}")
-    flat = []
-    for r in entries:
-        if len(r) != cols:
-            raise ShapeError(f"matrix JSON declares {cols} cols but a row has {len(r)}")
-        flat.extend(r)
-    return Matrix(rows, cols, flat, ctx)

@@ -49,10 +49,17 @@ class TestFloatMatrix:
         with pytest.raises(ValueError):
             FloatMatrix(1, 1, [float("inf")])
 
-    def test_from_exact(self):
-        m = FloatMatrix.from_exact(build(hilbert_spec(2)))
+    def test_float_image(self):
+        m = float_image(hilbert_spec(2))
         assert m.entry(0, 1) == 0.5
         assert m.entry(1, 1) == 1.0 / 3.0
+
+    def test_entry_out_of_range(self):
+        m = FloatMatrix(2, 2, [1.0, 2.0, 3.0, 4.0])
+        assert m.entry(1, 0) == 3.0
+        for i, j in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                m.entry(i, j)
 
 
 class TestGaussPP:
@@ -64,7 +71,7 @@ class TestGaussPP:
 
     def test_small_cauchy(self):
         spec = CauchySpec([1, 2], [3, 5], RING)
-        inv = invert_gauss_pp(FloatMatrix.from_exact(build(spec)))
+        inv = invert_gauss_pp(full_float_image(spec))
         exact = inverse_closed(spec)
         for i in range(2):
             for j in range(2):
@@ -165,7 +172,7 @@ def test_run_canary_needs_rationals():
 
 
 def full_float_image(spec):
-    return FloatMatrix.from_exact(build(spec))
+    return FloatMatrix(spec.n, spec.n, [float(e) for e in build(spec).entries])
 
 
 def full_product_residual(c, c_inv):

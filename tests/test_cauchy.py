@@ -8,7 +8,6 @@ from cauchykit.cauchy import (
     NonInvertiblePairSumError,
     adjugate_entry_sum_closed,
     bordered_det_closed,
-    bordered_matrix,
     build,
     det_closed,
     inverse_closed,
@@ -16,6 +15,7 @@ from cauchykit.cauchy import (
     inverse_entry_sum,
     is_invertible_spec,
 )
+from cauchykit.densela import border_with_ones
 from cauchykit.ring import NotInvertibleError, PrimeField, RationalRing
 
 RING = RationalRing()
@@ -212,7 +212,10 @@ class TestInverseClosed:
         rng = random.Random(83)
         for _ in range(25):
             spec = rand_spec(rng, ctx, rng.randint(1, 5), invertible=True)
-            assert inverse_closed(spec) == build(spec).inverse()
+            oracle = build(spec).inverse()
+            assert inverse_closed(spec) == oracle
+            assert all(inverse_entry_closed(spec, i, j) == oracle.entry(i, j)
+                       for i in range(spec.n) for j in range(spec.n))
 
     def test_assembled_matches_per_entry(self):
         rng = random.Random(89)
@@ -270,7 +273,7 @@ class TestAdjugateEntrySum:
 
 class TestBorderedDet:
     def test_shape_and_corner(self):
-        d = bordered_matrix(EXAMPLE)
+        d = border_with_ones(build(EXAMPLE))
         assert (d.rows, d.cols) == (3, 3)
         assert d.row(2) == (1, 1, 0)
         assert d.column(2) == (1, 1, 0)
@@ -279,13 +282,13 @@ class TestBorderedDet:
 
     def test_single(self):
         spec = CauchySpec([Q(1)], [Q(2)], RING)
-        assert bordered_matrix(spec).to_rows() == [[Q(1, 3), 1], [1, 0]]
+        assert border_with_ones(build(spec)).to_rows() == [[Q(1, 3), 1], [1, 0]]
         assert bordered_det_closed(spec) == -1
-        assert bordered_matrix(spec).det_fast() == -1
+        assert border_with_ones(build(spec)).det_fast() == -1
 
     def test_example(self):
         assert bordered_det_closed(EXAMPLE) == Q(-11, 420)
-        assert bordered_matrix(EXAMPLE).det_cofactor() == Q(-11, 420)
+        assert border_with_ones(build(EXAMPLE)).det_cofactor() == Q(-11, 420)
 
     def test_singular_gives_zero(self):
         assert bordered_det_closed(CauchySpec([1, 1], [3, 5], RING)) == 0
@@ -295,7 +298,7 @@ class TestBorderedDet:
         rng = random.Random(103)
         for _ in range(30):
             spec = rand_spec(rng, ctx, rng.randint(1, 5))
-            assert bordered_det_closed(spec) == bordered_matrix(spec).det_fast()
+            assert bordered_det_closed(spec) == border_with_ones(build(spec)).det_fast()
 
 
 class TestPerSpecMemo:
@@ -456,6 +459,8 @@ class TestIntegerKernel:
         assert m.to_rows() == [[1 / (x + y) for y in spec.ys] for x in spec.xs]
         assert det_closed(spec) == m.det_fast()
         assert inverse_closed(spec) == m.inverse()
+        assert all(inverse_entry_closed(spec, i, j) == m.inverse().entry(i, j)
+                   for i in range(n) for j in range(n))
         if n <= 12:  # Berkowitz scales by the lcm of all n^2 entry denominators, too slow at n = 24
             assert m.det_berkowitz() == det_closed(spec)
 

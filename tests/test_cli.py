@@ -176,6 +176,16 @@ class TestInputErrors:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize(
+        "command, spec, kind",
+        [(c, MIN_ZERO, "cauchy") for c in ("det", "inv", "invsum", "adjsum", "border")]
+        + [(c, EXAMPLE, "min") for c in ("min-det", "min-invsum", "min-colsums")],
+    )
+    def test_spec_of_the_wrong_kind(self, capsys, command, spec, kind):
+        code, out, err = run(capsys, command, spec)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: this subcommand needs a {kind} spec\n"
+
+    @pytest.mark.parametrize(
         "spec",
         [
             '{"xs":["1/0"],"ys":["1"]}',
