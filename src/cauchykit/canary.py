@@ -91,6 +91,14 @@ class CanaryReport:
 CSV_HEADER = "n,method,entry_sum_residual,identity_residual,elapsed"
 
 
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, as float() of a Fraction; ValueError past the float range."""
+    try:
+        return num / den
+    except OverflowError as exc:
+        raise ValueError(f"an exact value is past the float range: {exc}") from exc
+
+
 def hilbert_spec(n: int) -> CauchySpec:
     """The Cauchy parameters x_i = i (1-based), y_j = j - 1, whose matrix
     has entries 1/(i + j - 1): the n x n Hilbert matrix."""
@@ -101,12 +109,13 @@ def hilbert_spec(n: int) -> CauchySpec:
 
 def float_image(spec: CauchySpec) -> FloatMatrix:
     """The float image of the Cauchy matrix: entry (i, j) is the correctly
-    rounded int quotient q_i s_j / sums[i][j] of the integer kernel."""
+    rounded int quotient q_i s_j / sums[i][j] of the integer kernel. Raises
+    ValueError if an entry is past the float range."""
     xs, ys, p = _ints(spec)
     if p:
         raise CauchyKitError("only rational matrices have a float image")
     return FloatMatrix(spec.n, spec.n, [
-        (q * s) / v for (_, q), row in zip(xs, _sums(xs, ys)) for (_, s), v in zip(ys, row)])
+        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys)) for (_, s), v in zip(ys, row)])
 
 
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
@@ -156,11 +165,12 @@ def _scale(us: Sequence[float], vs: Sequence[float], j: int) -> float:
 
 def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
     """Closed-form inverse evaluated in float arithmetic: the same scaled
-    transpose as the exact path, with every operation rounded to 64-bit."""
+    transpose as the exact path, with every operation rounded to 64-bit.
+    Raises ValueError if a parameter is past the float range."""
     if not isinstance(spec.ctx, RationalRing):
         raise CauchyKitError("float evaluation needs rational parameters")
-    xs = [float(x) for x in spec.xs]
-    ys = [float(y) for y in spec.ys]
+    xs = [_quotient(x.numerator, x.denominator) for x in spec.xs]
+    ys = [_quotient(y.numerator, y.denominator) for y in spec.ys]
     a = [_scale(xs, ys, j) for j in range(spec.n)]
     b = [_scale(ys, xs, i) for i in range(spec.n)]
     entries = [b_i * a_j / (x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
@@ -193,7 +203,8 @@ def run_canary(spec: CauchySpec) -> tuple[CanaryReport, CanaryReport]:
     if not is_invertible_spec(spec).invertible:
         raise NotInvertibleError(None, "canary needs an invertible spec")
     c_float = float_image(spec)
-    truth = float(spec.weight_sum())
+    weight = spec.weight_sum()
+    truth = _quotient(weight.numerator, weight.denominator)
 
     t0 = time.perf_counter()
     closed = invert_closed_float(spec)

@@ -5,6 +5,10 @@ else). Verification subcommands print reports carrying both the closed
 form and the oracle value; exit status 0 means every report passed, 1
 means some identity check failed, 2 means the input was unusable.
 
+A subcommand takes only the flags its handler reads; any other exits 2.
+``--format`` is json|text for det, json|csv|text for the verification
+subcommands; build, inv and gen print JSON only.
+
 Specs are JSON: {"kind": "cauchy"|"min", "ring": "rational"|{"prime": p},
 "xs": [...], "ys": [...]}. The SPEC argument is a file path, ``-`` for
 stdin, or the JSON text itself when it starts with ``{``, ``[`` or ``"``
@@ -102,12 +106,9 @@ def _emit_reports(reports, fmt: str, envelope: dict | None = None) -> None:
     if fmt == "json":
         dicts = [r.to_json_dict() for r in reports]
         if envelope is not None:
-            envelope = dict(envelope)
-            envelope["reports"] = dicts
-            envelope["passed"] = sum(r.passed for r in reports)
-            envelope["failed"] = sum(not r.passed for r in reports)
-            envelope["ok"] = all(r.passed for r in reports)
-            print(_dump(envelope))
+            passed = sum(r.passed for r in reports)
+            print(_dump({**envelope, "reports": dicts, "passed": passed,
+                         "failed": len(reports) - passed, "ok": passed == len(reports)}))
         elif len(dicts) == 1:
             print(_dump(dicts[0]))
         else:
@@ -142,24 +143,20 @@ def cmd_gen(args) -> int:
     if args.kind == "min":
         if not isinstance(ctx, RationalRing):
             raise verify.SpecFormatError("min specs are rational-only")
+        if args.allow_degenerate:
+            raise verify.SpecFormatError("--allow-degenerate applies to cauchy specs only")
         spec = verify.random_min_spec(rng, args.n)
     else:
-        spec = verify.random_cauchy_spec(
-            rng, ctx, args.n, strongly_distinct=not args.allow_degenerate
-        )
+        spec = verify.random_cauchy_spec(rng, ctx, args.n, strongly_distinct=not args.allow_degenerate)
         if args.allow_degenerate and spec.n >= 2:
             spec = verify.force_repeated_value(rng, spec)
     print(_dump(verify.spec_to_json(spec)))
     return EXIT_OK
 
 
-def cmd_build(args) -> int:
-    spec = _load_spec(args)
-    if isinstance(spec, minmat.MinSpec):
-        m = minmat.build(spec)
-    else:
-        m = cauchy.build(spec)
-    print(_dump(matrix_to_json(m)))
+def cmd_matrix(args) -> int:
+    kind, matrix_of = args.runs
+    print(_dump(matrix_to_json(matrix_of(_load_spec(args, kind)))))
     return EXIT_OK
 
 
@@ -173,14 +170,8 @@ def cmd_det(args) -> int:
     return EXIT_OK
 
 
-def cmd_inv(args) -> int:
-    spec = _load_spec(args, "cauchy")
-    print(_dump(matrix_to_json(cauchy.inverse_closed(spec))))
-    return EXIT_OK
-
-
 def cmd_check(args) -> int:
-    identity, kind, prepare = args.check
+    identity, kind, prepare = args.runs
     report = verify.check_identity(identity, _load_spec(args, kind, prepare))
     _emit_reports([report], args.format)
     return _exit_code_for([report])
@@ -196,22 +187,14 @@ def cmd_lemma_ab(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = verify.run_suite(args.seed, args.trials, args.n)
-    envelope = {
-        "command": "verify",
-        "seed": args.seed,
-        "trials": args.trials,
-        "n_max": args.n,
-    }
-    _emit_reports(reports, args.format, envelope=envelope if args.format == "json" else None)
+    envelope = {"command": "verify", "seed": args.seed, "trials": args.trials, "n_max": args.n}
+    _emit_reports(reports, args.format, envelope)
     return _exit_code_for(reports)
 
 
 def cmd_canary(args) -> int:
     sizes = [n for n in (3, 6, 9, 12) if n <= args.n] or [args.n]
-    reports = []
-    for n in sizes:
-        closed, gauss = canary_mod.run_canary(canary_mod.hilbert_spec(n))
-        reports.extend([closed, gauss])
+    reports = [r for n in sizes for r in canary_mod.run_canary(canary_mod.hilbert_spec(n))]
     if args.format == "json":
         print(_dump([vars(r) for r in reports]))
     elif args.format == "text":
@@ -251,43 +234,46 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         "--format": dict(choices=("json", "csv", "text"), default="json", help="output format"),
     }
-    canary_n = dict(
-        type=_positive_int,
-        default=12,
-        help="largest Hilbert size; the ladder 3, 6, 9, 12 is filtered to <= n (default 12)",
-    )
+    overrides = {  # (subcommand, flag): settings that differ from the flag's row above
+        ("canary", "--n"): dict(type=_positive_int, default=12, help=(
+            "largest Hilbert size; the ladder 3, 6, 9, 12 is filtered to <= n (default 12)")),
+        ("det", "--format"): dict(choices=("json", "text"), default="json", help="output format"),
+    }
     spec_flags = ("spec", "--ring", "--minus-convention")
+
+    def check(identity, kind, help_text, prepare=None):  # a cmd_check row
+        return cmd_check, spec_flags + ("--format",), help_text, (identity, kind, prepare)
+
+    # name: (handler, the flags it reads, help, what it runs, as cmd_matrix and cmd_check read it)
     specs = {
         "gen": (cmd_gen, ("--ring", "--seed", "--n", "--kind", "--allow-degenerate"),
-                "emit a random spec"),
-        "build": (cmd_build, spec_flags, "build the matrix for a spec"),
-        "det": (cmd_det, spec_flags, "closed-form determinant"),
-        "inv": (cmd_inv, spec_flags, "closed-form inverse matrix"),
-        "invsum": (cmd_check, spec_flags, "check the inverse entry-sum identity"),
-        "adjsum": (cmd_check, spec_flags, "check the adjugate entry-sum identity"),
-        "border": (cmd_check, spec_flags, "check the bordered-determinant identity"),
-        "lemma-ab": (cmd_lemma_ab, ("--ring", "--seed", "--trials", "--n"),
-                     "check the weighted trace identity on random A, B"),
-        "min-det": (cmd_check, spec_flags, "check the min-matrix determinant closed form"),
-        "min-invsum": (cmd_check, spec_flags, "check the min-matrix inverse entry sum"),
-        "min-colsums": (cmd_check, spec_flags, "check the min-matrix inverse column sums"),
-        "verify": (cmd_verify, ("--seed", "--trials", "--n"), "run the full seeded identity suite"),
-        "canary": (cmd_canary, ("--n",), "float ill-conditioning canary on Hilbert matrices"),
-    }
-    checks = {  # cmd_check rows: the identity, the kind of its spec and how to prepare it
-        "invsum": ("inverse_entry_sum", "cauchy", None),
-        "adjsum": ("adjugate_entry_sum", "cauchy", None),
-        "border": ("bordered_det", "cauchy", None),
+                "emit a random spec", None),
+        "build": (cmd_matrix, spec_flags, "build the matrix for a spec",
+                  (None, verify.build_matrix)),
+        "det": (cmd_det, spec_flags + ("--format",), "closed-form determinant", None),
+        "inv": (cmd_matrix, spec_flags, "closed-form inverse matrix",
+                ("cauchy", cauchy.inverse_closed)),
+        "invsum": check("inverse_entry_sum", "cauchy", "check the inverse entry-sum identity"),
+        "adjsum": check("adjugate_entry_sum", "cauchy", "check the adjugate entry-sum identity"),
+        "border": check("bordered_det", "cauchy", "check the bordered-determinant identity"),
+        "lemma-ab": (cmd_lemma_ab, ("--ring", "--seed", "--trials", "--n", "--format"),
+                     "check the weighted trace identity on random A, B", None),
         # the determinant closed form wants each vector ascending but no x/y swap
-        "min-det": ("min_det", "min", lambda spec: minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))),
-        "min-invsum": ("min_inverse_entry_sum", "min", None),
-        "min-colsums": ("min_inverse_column_sums", "min", minmat.normalize),
+        "min-det": check("min_det", "min", "check the min-matrix determinant closed form",
+                         lambda spec: minmat.MinSpec(sorted(spec.xs), sorted(spec.ys))),
+        "min-invsum": check("min_inverse_entry_sum", "min", "check the min-matrix inverse entry sum"),
+        "min-colsums": check("min_inverse_column_sums", "min",
+                             "check the min-matrix inverse column sums", minmat.normalize),
+        "verify": (cmd_verify, ("--seed", "--trials", "--n", "--format"),
+                   "run the full seeded identity suite", None),
+        "canary": (cmd_canary, ("--n", "--format"),
+                   "float ill-conditioning canary on Hilbert matrices", None),
     }
-    for name, (handler, reads, help_text) in specs.items():
+    for name, (handler, reads, help_text, runs) in specs.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in reads + ("--format",):
-            p.add_argument(flag, **(canary_n if (name, flag) == ("canary", "--n") else flags[flag]))
-        p.set_defaults(handler=handler, check=checks.get(name))
+        for flag in reads:
+            p.add_argument(flag, **overrides.get((name, flag), flags[flag]))
+        p.set_defaults(handler=handler, runs=runs)
     return parser
 
 

@@ -197,20 +197,30 @@ class FpElement:
         return str(self.value)
 
 
+class _Context:
+    """What both ring contexts define alike, in terms of their own ``coerce``."""
+
+    @property
+    def zero(self):
+        return self.coerce(0)
+
+    @property
+    def one(self):
+        return self.coerce(1)
+
+    def render(self, a) -> str:
+        return str(self.coerce(a))
+
+    def is_invertible(self, a) -> bool:
+        return self.coerce(a) != 0
+
+
 @dataclass(frozen=True)
-class RationalRing:
+class RationalRing(_Context):
     """The field of arbitrary-precision rationals."""
 
     kind = "rational"
     is_ordered = True
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def coerce(self, v) -> Fraction:
         """Turn ``v`` into a rational scalar of this context.
@@ -233,9 +243,6 @@ class RationalRing:
     def parse(self, text: str) -> Fraction:
         return Fraction(text.strip())
 
-    def render(self, a) -> str:
-        return str(self.coerce(a))
-
     def inv(self, a) -> Fraction:
         a = self.coerce(a)
         if a == 0:
@@ -246,9 +253,6 @@ class RationalRing:
         """One by one: a Fraction inverse is a swap, and batching would grow bignums."""
         return [self.inv(a) for a in values]
 
-    def is_invertible(self, a) -> bool:
-        return self.coerce(a) != 0
-
     def cmp(self, a, b) -> int:
         """Total order on the rationals: -1, 0, or +1."""
         a, b = self.coerce(a), self.coerce(b)
@@ -256,7 +260,7 @@ class RationalRing:
 
 
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Context):
     """The prime field F_p. ``p`` must be prime (checked at construction)."""
 
     p: int = 101
@@ -267,14 +271,6 @@ class PrimeField:
     def __post_init__(self):
         if not (self.p < _MR_BOUND and _is_prime(self.p)):
             raise ValueError(f"prime field modulus must be a prime < {_MR_BOUND}, got {self.p}")
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
 
     def coerce(self, v) -> FpElement:
         if isinstance(v, FpElement):
@@ -296,9 +292,6 @@ class PrimeField:
     def parse(self, text: str) -> FpElement:
         return FpElement(int(text.strip()), self.p)
 
-    def render(self, a) -> str:
-        return str(self.coerce(a).value)
-
     def inv(self, a) -> FpElement:
         a = self.coerce(a)
         if a.value == 0:
@@ -310,9 +303,6 @@ class PrimeField:
         :func:`_inv_all_mod`). A zero anywhere raises NotInvertibleError, as inv does."""
         p = self.p
         return [FpElement(v, p) for v in _inv_all_mod([self.coerce(a).value for a in values], p)]
-
-    def is_invertible(self, a) -> bool:
-        return self.coerce(a).value != 0
 
     def cmp(self, a, b) -> int:
         raise UnorderedRingError(f"F_{self.p} has no ordering")

@@ -237,6 +237,11 @@ def random_weights(rng: random.Random, ctx: RingContext, n: int, m: int) -> Weig
 # Identity checks (closed form on the left, oracle on the right)
 
 
+def build_matrix(spec) -> Matrix:
+    """The matrix of a Cauchy or a min spec."""
+    return (minmat.build if isinstance(spec, minmat.MinSpec) else cauchy.build)(spec)
+
+
 def render_matrix(m: Matrix) -> str:
     return json.dumps(matrix_to_json(m)["entries"], separators=(",", ":"))
 
@@ -291,7 +296,7 @@ def check_identity(identity: str, spec, seed=None, matrix=None) -> VerificationR
     closed, oracle, render = IDENTITIES[identity]
     lhs = render(closed(spec))
     if matrix is None:
-        matrix = (minmat.build if isinstance(spec, minmat.MinSpec) else cauchy.build)(spec)
+        matrix = build_matrix(spec)
     return _report(identity, lhs, render(oracle(spec, matrix)), spec_to_json(spec), seed)
 
 

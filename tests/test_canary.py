@@ -167,6 +167,20 @@ def test_run_canary_needs_rationals():
         run_canary(CauchySpec([1, 2], [3, 5], PrimeField(101)))
 
 
+@pytest.mark.parametrize(
+    "route, spec",
+    [
+        (run_canary, CauchySpec([10**400, 10**400 + 1], [1, 2], RING)),  # its entry sum
+        (float_image, CauchySpec([Q(1, 10**400), Q(2, 10**400)], [0, Q(1, 10**399)], RING)),
+        (invert_closed_float, CauchySpec([10**400, 1], [1, 2], RING)),  # a parameter
+    ],
+    ids=("run_canary", "float_image", "invert_closed_float"),
+)
+def test_values_past_the_float_range_raise_value_error(route, spec):
+    with pytest.raises(ValueError, match="past the float range"):
+        route(spec)
+
+
 # The routes the canary took before it skipped the exact matrix, the product
 # matrix and the dead left-block columns; the kernels must match them bit for bit.
 

@@ -398,13 +398,17 @@ FLAG_ARGS = {
     "--n": ["--n", "3"],
     "--minus-convention": ["--minus-convention"],
     "--allow-degenerate": ["--allow-degenerate"],
+    "--format": ["--format", "text"],
 }
 FLAGS_READ = {
     "gen": {"--ring", "--seed", "--n", "--allow-degenerate"},
-    "lemma-ab": {"--ring", "--seed", "--trials", "--n"},
-    "verify": {"--seed", "--trials", "--n"},
-    "canary": {"--n"},
-    **{name: {"--ring", "--minus-convention"} for name in SPEC_COMMANDS},
+    "lemma-ab": {"--ring", "--seed", "--trials", "--n", "--format"},
+    "verify": {"--seed", "--trials", "--n", "--format"},
+    "canary": {"--n", "--format"},
+    "build": {"--ring", "--minus-convention"},
+    "inv": {"--ring", "--minus-convention"},
+    **{name: {"--ring", "--minus-convention", "--format"} for name in SPEC_COMMANDS
+       if name not in ("build", "inv")},
 }
 
 
@@ -428,6 +432,19 @@ class TestFlagsPerSubcommand:
     def test_read_flag_parses(self, name, flag):
         args = _build_parser().parse_args(command_argv(name, flag))
         assert args.command == name
+
+    def test_det_formats(self, capsys):
+        # det reads --format json|text (text is a case of test_read_flag_parses)
+        assert _build_parser().parse_args(["det", EXAMPLE, "--format", "json"]).format == "json"
+        with pytest.raises(SystemExit) as exc:
+            main(["det", EXAMPLE, "--format", "csv"])
+        assert exc.value.code == EXIT_INPUT
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_gen_min_allow_degenerate_exits_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--kind", "min", "--allow-degenerate")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: --allow-degenerate applies to cauchy specs only\n"
 
     def test_readme_examples_parse(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
