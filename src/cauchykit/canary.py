@@ -111,11 +111,11 @@ def float_image(spec: CauchySpec) -> FloatMatrix:
     """The float image of the Cauchy matrix: entry (i, j) is the correctly
     rounded int quotient q_i s_j / sums[i][j] of the integer kernel. Raises
     ValueError if an entry is past the float range."""
-    xs, ys, p = _ints(spec)
+    xs, ys, p, unit = _ints(spec)
     if p:
         raise CauchyKitError("only rational matrices have a float image")
     return FloatMatrix(spec.n, spec.n, [
-        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys)) for (_, s), v in zip(ys, row)])
+        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys, unit)) for (_, s), v in zip(ys, row)])
 
 
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
@@ -160,20 +160,27 @@ def _scale(us: Sequence[float], vs: Sequence[float], j: int) -> float:
         num = num * (us[j] + vs[k])
         if k != j:
             den = den * (us[j] - us[k])
-    return num * (1.0 / den)
+    try:
+        return num * (1.0 / den)
+    except ZeroDivisionError:
+        raise ValueError("a difference of two parameters is 0.0 in floats") from None
 
 
 def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
     """Closed-form inverse evaluated in float arithmetic: the same scaled
     transpose as the exact path, with every operation rounded to 64-bit.
-    Raises ValueError if a parameter is past the float range."""
+    Raises ValueError if a parameter is past the float range, or if a
+    difference of two parameters or a pair sum is 0.0 in floats."""
     if not isinstance(spec.ctx, RationalRing):
         raise CauchyKitError("float evaluation needs rational parameters")
     xs = [_quotient(x.numerator, x.denominator) for x in spec.xs]
     ys = [_quotient(y.numerator, y.denominator) for y in spec.ys]
     a = [_scale(xs, ys, j) for j in range(spec.n)]
     b = [_scale(ys, xs, i) for i in range(spec.n)]
-    entries = [b_i * a_j / (x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
+    try:
+        entries = [b_i * a_j / (x + y) for y, b_i in zip(ys, b) for x, a_j in zip(xs, a)]
+    except ZeroDivisionError:
+        raise ValueError("a pair sum x + y is 0.0 in floats") from None
     return FloatMatrix(spec.n, spec.n, entries)
 
 

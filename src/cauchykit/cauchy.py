@@ -22,7 +22,8 @@ The determinant, the matrix, its inverse and any one inverse entry run on
 one integer kernel (:func:`_ints`): each parameter is lifted to its own
 integer pair, the differences and sums are cross-multiplied, and each
 result crosses back into the ring once, as one Fraction over Q or, over
-F_p, after one (batch) inversion of all its denominators.
+F_p, after one (batch) inversion of all its denominators. The whole
+inverse builds its scales on the determinant's products, kept on the spec.
 
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
@@ -61,10 +62,10 @@ class CauchySpec:
     offending (i, j) in row-major order rather than deep inside a product later.
     A spec is immutable after construction: :func:`det_closed` and
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
-    and so does :meth:`weight_sum` (``_weight``).
+    and so does :meth:`weight_sum` (``_weight``); ``_kept`` is :func:`_keep`'s.
     """
 
-    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight")
+    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -80,7 +81,7 @@ class CauchySpec:
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
-        self._det = self._verdict = self._weight = None
+        self._det = self._verdict = self._weight = self._kept = None
 
     @property
     def n(self) -> int:
@@ -112,18 +113,21 @@ class InvertibilityVerdict:
     witness: Optional[tuple[str, int, int]] = None
 
 
-def _ints(spec: CauchySpec) -> tuple[list, list, int]:
+def _ints(spec: CauchySpec) -> tuple[list, list, int, bool]:
     """The integer kernel's view of a spec: each parameter as its own pair
-    (numerator, denominator), (residue, 1) over F_p, and the modulus p, 0
-    over Q. With x_i = a_i/q_i and y_j = r_j/s_j, differences and sums are
-    cross-multiplied: x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
+    (numerator, denominator), (residue, 1) over F_p, the modulus p, 0
+    over Q, and whether every denominator is 1 (then the kernel skips its
+    multiplications by 1). With x_i = a_i/q_i and y_j = r_j/s_j,
+    differences and sums are cross-multiplied:
+    x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
     x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j). Results cross back into the
     ring once each; a common denominator instead would grow with every
     coprime denominator."""
     if isinstance(spec.ctx, PrimeField):
-        return [(x.value, 1) for x in spec.xs], [(y.value, 1) for y in spec.ys], spec.ctx.p
-    return ([(x.numerator, x.denominator) for x in spec.xs],
-            [(y.numerator, y.denominator) for y in spec.ys], 0)
+        return [(x.value, 1) for x in spec.xs], [(y.value, 1) for y in spec.ys], spec.ctx.p, True
+    xs = [x.as_integer_ratio() for x in spec.xs]
+    ys = [y.as_integer_ratio() for y in spec.ys]
+    return xs, ys, 0, all(q == 1 for _, q in xs + ys)
 
 
 def _prod(vs, p: int) -> int:
@@ -132,26 +136,35 @@ def _prod(vs, p: int) -> int:
     return acc % p if p else acc
 
 
-def _sums(xs: list, ys: list) -> list[list]:
+def _sums(xs: list, ys: list, unit: bool) -> list[list]:
     """sums[i][j], the numerator of x_i + y_j over q_i s_j."""
+    if unit:
+        rs = [r for r, _ in ys]
+        return [[a + r for r in rs] for a, _ in xs]
     return [[a * s + r * q for r, s in ys] for a, q in xs]
 
 
-def _int_scale(us: list, k: int, row, p: int) -> tuple[int, int]:
-    """Integer column scale (A_k, D_k) = (prod(row), q_k * prod_{m != k}
-    (a_k q_m - a_m q_k)) for us = xs and row = sums[k]; with us = ys and
-    column k of sums it is the row scale (B_k, E_k). The denominators of the
-    closed form cancel, leaving inv[i, j] = A_j B_i / (D_j E_i sums[j][i]).
-    The us are distinct, so the m = k difference is the only 0; it stands in
-    for the factor q_k."""
-    a, q = us[k]
-    return _prod(row, p), _prod([a * t - c * q or q for c, t in us], p)
+def _uppers(us: list, unit: bool, p: int) -> list:
+    """The upper halves U_k = prod_{m > k} (a_k q_m - a_m q_k), reduced mod p
+    unless p is 0; on the reversed vector, the lower halves (m < k) reversed."""
+    if unit:
+        return [_prod([a - c for c, _ in us[k + 1:]], p) for k, (a, _) in enumerate(us)]
+    return [_prod([a * t - c * q for c, t in us[k + 1:]], p) for k, (a, q) in enumerate(us)]
+
+
+def _keep(spec: CauchySpec, xs: list, ys: list, p: int, unit: bool, sums: list) -> tuple:
+    """Keep on the spec, and return, the determinant's O(n) products: the
+    row products A_j = prod(sums[j]) and each vector's upper halves. The
+    first of det_closed and inverse_closed fills them; racing threads
+    compute equal ones."""
+    spec._kept = ([_prod(row, p) for row in sums], _uppers(xs, unit, p), _uppers(ys, unit, p))
+    return spec._kept
 
 
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
-    xs, ys, p = _ints(spec)
-    sums = _sums(xs, ys)
+    xs, ys, p, unit = _ints(spec)
+    sums = _sums(xs, ys, unit)
     if p:
         entries = [FpElement(v, p) for v in _inv_all_mod([v for row in sums for v in row], p)]
     else:
@@ -167,10 +180,11 @@ def det_closed(spec: CauchySpec) -> Scalar:
     Empty products are 1, so n = 1 gives 1/(x_1 + y_1).
     """
     if spec._det is None:
-        xs, ys, p = _ints(spec)  # the denominators cancel down to prod(q) prod(s) on top
-        num = _prod([_prod([a * t - c * q for c, t in us[i + 1:]], p)
-                     for us in (xs, ys) for i, (a, q) in enumerate(us)] + [q for _, q in xs + ys], p)
-        den = _prod([_prod(row, p) for row in _sums(xs, ys)], p)
+        xs, ys, p, unit = _ints(spec)
+        rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, _sums(xs, ys, unit))
+        # the denominators cancel down to prod(q) prod(s) on top
+        num = _prod(ux + uy + [q for _, q in xs + ys], p)
+        den = _prod(rows, p)
         spec._det = spec.ctx.inv(den) * num if p else Fraction(num, den)
     return spec._det
 
@@ -215,40 +229,51 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
                                     * prod_{k != i} (y_i - y_k) ).
 
     The numerator's (x_j + y_k) factor is the one confirmed against the
-    Gauss-Jordan oracle inverse; see the formula-resolution test. Row j and
-    column i of the integer pair sums give the two :func:`_int_scale` pairs.
+    Gauss-Jordan oracle inverse; see the formula-resolution test. It reads
+    row j and column i of the integer pair sums and keeps nothing.
     """
     _require_invertible(spec)
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    xs, ys, p = _ints(spec)
-    (a, q), (r, s) = xs[j], ys[i]
-    na, da = _int_scale(xs, j, [a * t + c * q for c, t in ys], p)
-    nb, db = _int_scale(ys, i, [c * s + r * t for c, t in xs], p)
-    num, den = _prod([na, nb], p), _prod([da, db, a * s + r * q], p)
+    xs, ys, p, unit = _ints(spec)
+    x, y = xs[j], ys[i]
+    (a, q), (r, s) = x, y
+    row, col = _sums([x], ys, unit)[0], _sums([y], xs, unit)[0]
+    num = _prod(row + col, p)
+    den = _prod([a * t - c * q for c, t in xs[:j] + xs[j + 1:]]
+                + [r * t - c * s for c, t in ys[:i] + ys[i + 1:]] + [q, s, row[i]], p)
     return spec.ctx.inv(den) * num if p else Fraction(num, den)
+
+
+def _scale_dens(us: list, uppers: list, unit: bool, p: int) -> list:
+    """The scale denominators D_k = q_k U_k L_k, U and L the upper and lower halves."""
+    lowers = _uppers(us[::-1], unit, p)[::-1]
+    return [_prod([q, up, lo], p) for (_, q), up, lo in zip(us, uppers, lowers)]
 
 
 def inverse_closed(spec: CauchySpec) -> Matrix:
     """Whole inverse in O(n^2) integer operations (plus bignum growth):
-    diag(b) * C^T * diag(a) on the integer scales of :func:`_int_scale`. Over Q
-    each entry is one Fraction; over F_p one batch inversion covers the 2n
-    scale denominators and the n^2 pair sums."""
+    diag(b) * C^T * diag(a) with a_j = A_j / D_j and b_i = B_i / E_i, B the
+    column products and E the D of y, so inv[i, j] = A_j B_i / (D_j E_i
+    sums[j][i]). A and the upper halves are :func:`_keep`'s. Over Q each
+    entry is one Fraction; over F_p one batch inversion covers the 2n scale
+    denominators and the n^2 pair sums."""
     _require_invertible(spec)
-    xs, ys, p = _ints(spec)
-    sums = _sums(xs, ys)
+    xs, ys, p, unit = _ints(spec)
+    sums = _sums(xs, ys, unit)
+    rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, sums)
     cols = list(zip(*sums))
-    a = [_int_scale(xs, j, row, p) for j, row in enumerate(sums)]
-    b = [_int_scale(ys, i, col, p) for i, col in enumerate(cols)]
+    dx, dy = _scale_dens(xs, ux, unit, p), _scale_dens(ys, uy, unit, p)
     if p:
-        inv = iter(_inv_all_mod([d for _, d in a + b] + [v for col in cols for v in col], p))
-        a = [na * next(inv) % p for na, _ in a]
-        b = [nb * next(inv) % p for nb, _ in b]
+        inv = iter(_inv_all_mod(dx + dy + [v for col in cols for v in col], p))
+        a = [na * next(inv) % p for na in rows]
+        b = [_prod(col, p) * next(inv) % p for col in cols]
         entries = [FpElement(bi * aj * next(inv), p) for bi in b for aj in a]
     else:
         entries = [Fraction(na * nb, da * db * v)
-                   for (nb, db), col in zip(b, cols) for (na, da), v in zip(a, col)]
+                   for nb, db, col in zip(map(math.prod, cols), dy, cols)
+                   for na, da, v in zip(rows, dx, col)]
     return Matrix._of(spec.n, spec.n, entries, spec.ctx)
 
 

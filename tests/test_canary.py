@@ -181,6 +181,21 @@ def test_values_past_the_float_range_raise_value_error(route, spec):
         route(spec)
 
 
+@pytest.mark.parametrize(
+    "xs, ys, what",
+    [
+        ([1 + Q(1, 2**60), 1], [7, 5], "difference of two parameters"),  # x[0] and x[1] round alike
+        ([1 + Q(1, 2**60), 3], [-1, 5], "pair sum"),  # x[0] + y[0] = 2**-60 rounds to 0.0
+    ],
+    ids=("difference", "pair-sum"),
+)
+def test_values_that_vanish_in_floats_raise_value_error(xs, ys, what):
+    spec = CauchySpec(xs, ys, RING)
+    for route in (run_canary, invert_closed_float):
+        with pytest.raises(ValueError, match=what):
+            route(spec)
+
+
 # The routes the canary took before it skipped the exact matrix, the product
 # matrix and the dead left-block columns; the kernels must match them bit for bit.
 

@@ -1,8 +1,12 @@
+import hashlib
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
 
+from cauchykit import cauchy
 from cauchykit.cauchy import (
     CauchySpec,
     NonInvertiblePairSumError,
@@ -369,6 +373,102 @@ class TestPerSpecMemo:
             inv = inverse_closed(spec)
             assert inv.to_rows() == [[inverse_entry_closed(spec, i, j) for j in range(n)] for i in range(n)]
 
+    def count_keeps(self, monkeypatch):
+        calls = []
+        keep = cauchy._keep
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return keep(spec, *args)
+
+        monkeypatch.setattr(cauchy, "_keep", counting)
+        return calls
+
+    @pytest.mark.parametrize("det_first", (True, False), ids=("det-first", "inverse-first"))
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_products_are_kept_once(self, monkeypatch, ctx, det_first):
+        calls = self.count_keeps(monkeypatch)
+        spec = rand_spec(random.Random(31), ctx, 6, invertible=True)
+        m = build(spec)
+        for _ in range(2):
+            for fn in (det_closed, inverse_closed) if det_first else (inverse_closed, det_closed):
+                fn(spec)
+        assert calls == [spec]
+        assert det_closed(spec) == m.det_fast()
+        assert inverse_closed(spec) == m.inverse()
+        rows, ux, uy = spec._kept  # O(n) integers, nothing n^2-sized
+        assert [len(v) for v in (rows, ux, uy)] == [6, 6, 6]
+        assert all(type(v) is int for v in rows + ux + uy)
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_kept_products_do_not_leak_across_specs(self, ctx):
+        for det_first in (True, False):
+            first = CauchySpec([1, 2, 3], [4, 5, 6], ctx)
+            second = CauchySpec([1, 2, 3], [4, 5, 7], ctx)
+            for spec in (first, second):
+                m = build(spec)
+                if det_first:
+                    assert det_closed(spec) == m.det_fast()
+                assert inverse_closed(spec) == m.inverse()
+                assert det_closed(spec) == m.det_fast()
+            assert first._kept != second._kept
+            assert inverse_closed(first) != inverse_closed(second)
+
+    @pytest.mark.parametrize("det_first", (True, False), ids=("det-first", "inverse-first"))
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_singular_spec_in_either_order(self, ctx, det_first):
+        spec = CauchySpec([1, 2, 1], [4, 5, 6], ctx)
+        if det_first:
+            assert det_closed(spec) == 0
+        with pytest.raises(NotInvertibleError, match=r"x\[0\] and x\[2\]"):
+            inverse_closed(spec)
+        assert det_closed(spec) == 0
+        with pytest.raises(NotInvertibleError, match=r"x\[0\] and x\[2\]"):
+            inverse_closed(spec)
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=("rational", "f101"))
+    def test_single_entries_keep_nothing(self, ctx):
+        spec = rand_spec(random.Random(37), ctx, 5, invertible=True)
+        oracle = build(spec).inverse()
+        assert all(inverse_entry_closed(spec, i, j) == oracle.entry(i, j)
+                   for i in range(5) for j in range(5))
+        assert spec._kept is None
+
+    def test_threads_racing_on_first_use_agree(self):
+        ctx = PrimeField(2**31 - 1)
+        vals = random.Random(41).sample(range(1, 2**30), 48)
+        want = CauchySpec(vals[:24], vals[24:], ctx)
+        want = (det_closed(want), inverse_closed(want))
+        spec = CauchySpec(vals[:24], vals[24:], ctx)
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def work(k):
+            start.wait()
+            fns = (det_closed, inverse_closed) if k % 2 else (inverse_closed, det_closed)
+            got[k] = {fn: fn(spec) for fn in fns}
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert all((g[det_closed], g[inverse_closed]) == want for g in got)
+
+    def test_det_then_inverse_make_one_field_inversion(self, monkeypatch):
+        calls = self.count_field_inversions(monkeypatch)
+        spec = CauchySpec(range(1, 33), range(33, 65), PrimeField(2**31 - 1))
+        det_closed(spec)
+        assert len(calls) == 1
+        inverse_closed(spec)
+        assert len(calls) == 1
+
 
 def first_zero_pair_sum(xs, ys, ctx):
     """Row-major scan: the first (i, j) whose pair sum is not invertible."""
@@ -464,6 +564,18 @@ class TestIntegerKernel:
         if n <= 12:  # Berkowitz scales by the lcm of all n^2 entry denominators, too slow at n = 24
             assert m.det_berkowitz() == det_closed(spec)
 
+    def test_integer_parameters_take_the_unit_path(self):
+        vals = random.Random(127).sample(range(-40, 41), 16)
+        spec = CauchySpec(vals[:8], vals[8:], RING)
+        assert cauchy._ints(spec)[3]
+        assert not cauchy._ints(CauchySpec([Q(1, 2)], [1], RING))[3]
+        m = build(spec)
+        assert m.to_rows() == [[1 / (x + y) for y in spec.ys] for x in spec.xs]
+        assert det_closed(spec) == m.det_fast()
+        assert inverse_closed(spec) == m.inverse()
+        assert all(inverse_entry_closed(spec, i, j) == m.inverse().entry(i, j)
+                   for i in range(8) for j in range(8))
+
     def test_residues_above_two_to_the_31(self):
         p61 = PrimeField(2**61 - 1)
         vals = random.Random(113).sample(range(2**31, 2**61 - 1), 16)
@@ -474,3 +586,51 @@ class TestIntegerKernel:
         assert inverse_closed(spec) == m.inverse()
         assert inverse_closed(spec).to_rows() == [[inverse_entry_closed(spec, i, j) for j in range(8)]
                                                   for i in range(8)]
+
+
+def golden_spec(seed, n, ctx, draw):
+    """2n distinct values from ``draw``, shuffled, split into xs and ys;
+    redrawn until every pair sum is invertible."""
+    rng = random.Random(seed)
+    while True:
+        vals = set()
+        while len(vals) < 2 * n:
+            vals.add(draw(rng))
+        vals = sorted(vals)
+        rng.shuffle(vals)
+        try:
+            return CauchySpec(vals[:n], vals[n:], ctx)
+        except NonInvertiblePairSumError:
+            continue
+
+
+P31 = 2**31 - 1
+
+
+class TestGoldenDigests:
+    """sha256 of the rendered determinant and inverse on fixed seeded specs,
+    pinned so that a faster kernel cannot change a single digit."""
+
+    @pytest.mark.parametrize("det_first", (True, False), ids=("det-first", "inverse-first"))
+    @pytest.mark.parametrize(
+        "seed, n, ctx, draw, digest",
+        (
+            (1, 64, PrimeField(P31), lambda rng: rng.randrange(P31),
+             "2fc97bb20b074a58abc8abdec7744facbe0fd55e3c83719f489f4ed0bc14738c"),
+            (2, 24, RING, lambda rng: Q(rng.randint(-500, 500), rng.randint(1, 24)),
+             "6ae24bec32bb9344cd929dac5819a109b31dd52dab1f366cc01916a7dc7c13f2"),
+            (3, 12, RING, lambda rng: Q(rng.randint(-500, 500)),  # integers: every denominator is 1
+             "54a66ffcb1a73638a03024d6de458bb8ec9dd243461801f45a928d874c5dfda7"),
+        ),
+        ids=("fp-n64", "q-n24", "int-n12"),
+    )
+    def test_det_and_inverse(self, seed, n, ctx, draw, digest, det_first):
+        spec = golden_spec(seed, n, ctx, draw)
+        if det_first:
+            det = det_closed(spec)
+        inv = inverse_closed(spec)
+        if not det_first:
+            det = det_closed(spec)
+        r = ctx.render
+        text = "\n".join([r(det)] + [" ".join(map(r, row)) for row in inv.to_rows()])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
