@@ -23,7 +23,9 @@ one integer kernel (:func:`_ints`): each parameter is lifted to its own
 integer pair, the differences and sums are cross-multiplied, and each
 result crosses back into the ring once, as one Fraction over Q or, over
 F_p, after one (batch) inversion of all its denominators. The whole
-inverse builds its scales on the determinant's products, kept on the spec.
+inverse builds its scales on the determinant's products, kept on the spec,
+and over F_p reads the entries of C off the spec's :func:`build` matrix
+while the caller holds it, so the n^2 pair sums are inverted once.
 
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
@@ -33,6 +35,7 @@ thousands of random inputs. Indices are 0-based throughout.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -63,9 +66,11 @@ class CauchySpec:
     A spec is immutable after construction: :func:`det_closed` and
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
     and so does :meth:`weight_sum` (``_weight``); ``_kept`` is :func:`_keep`'s.
+    Over F_p, ``_built`` is a weak reference to the matrix :func:`build` last
+    returned, so the spec keeps no matrix alive.
     """
 
-    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept")
+    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept", "_built")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -81,7 +86,7 @@ class CauchySpec:
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
-        self._det = self._verdict = self._weight = self._kept = None
+        self._det = self._verdict = self._weight = self._kept = self._built = None
 
     @property
     def n(self) -> int:
@@ -169,7 +174,10 @@ def build(spec: CauchySpec) -> Matrix:
         entries = [FpElement(v, p) for v in _inv_all_mod([v for row in sums for v in row], p)]
     else:
         entries = [Fraction(q * s, v) for (_, q), row in zip(xs, sums) for (_, s), v in zip(ys, row)]
-    return Matrix._of(spec.n, spec.n, entries, spec.ctx)
+    m = Matrix._of(spec.n, spec.n, entries, spec.ctx)
+    if p:
+        spec._built = weakref.ref(m)
+    return m
 
 
 def det_closed(spec: CauchySpec) -> Scalar:
@@ -255,26 +263,35 @@ def _scale_dens(us: list, uppers: list, unit: bool, p: int) -> list:
 def inverse_closed(spec: CauchySpec) -> Matrix:
     """Whole inverse in O(n^2) integer operations (plus bignum growth):
     diag(b) * C^T * diag(a) with a_j = A_j / D_j and b_i = B_i / E_i, B the
-    column products and E the D of y, so inv[i, j] = A_j B_i / (D_j E_i
-    sums[j][i]). A and the upper halves are :func:`_keep`'s. Over Q each
-    entry is one Fraction; over F_p one batch inversion covers the 2n scale
-    denominators and the n^2 pair sums."""
+    column products and E the D of y, so inv[i, j] = a_j b_i C[j][i]. A and
+    the upper halves are :func:`_keep`'s. Over Q each entry is one Fraction.
+    Over F_p the entries of C are the :func:`build` matrix's while the
+    caller holds it, else one batch inversion of the n^2 pair sums; then
+    b_i = 1 / (E_i prod_k C[k][i]), and one batch inversion covers these
+    and the D."""
     _require_invertible(spec)
     xs, ys, p, unit = _ints(spec)
-    sums = _sums(xs, ys, unit)
-    rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, sums)
-    cols = list(zip(*sums))
+    n, kept = spec.n, spec._kept
+    m = spec._built() if spec._built is not None else None
+    sums = None if m is not None and kept else _sums(xs, ys, unit)
+    rows, ux, uy = kept or _keep(spec, xs, ys, p, unit, sums)
     dx, dy = _scale_dens(xs, ux, unit, p), _scale_dens(ys, uy, unit, p)
     if p:
-        inv = iter(_inv_all_mod(dx + dy + [v for col in cols for v in col], p))
-        a = [na * next(inv) % p for na in rows]
-        b = [_prod(col, p) * next(inv) % p for col in cols]
-        entries = [FpElement(bi * aj * next(inv), p) for bi in b for aj in a]
+        if m is not None:
+            vals = [e.value for e in m.entries]
+        else:
+            vals = _inv_all_mod([v for row in sums for v in row], p)
+        cols = [vals[i::n] for i in range(n)]  # column i of C
+        inv = _inv_all_mod(dx + [_prod(col, p) * e for col, e in zip(cols, dy)], p)
+        a = [na * d % p for na, d in zip(rows, inv)]
+        entries = [FpElement(bi * aj * c, p)
+                   for bi, col in zip(inv[n:], cols) for aj, c in zip(a, col)]
     else:
+        cols = list(zip(*sums))
         entries = [Fraction(na * nb, da * db * v)
                    for nb, db, col in zip(map(math.prod, cols), dy, cols)
                    for na, da, v in zip(rows, dx, col)]
-    return Matrix._of(spec.n, spec.n, entries, spec.ctx)
+    return Matrix._of(n, n, entries, spec.ctx)
 
 
 def inverse_entry_sum(spec: CauchySpec) -> Scalar:

@@ -51,9 +51,10 @@ COFACTOR_MAX = 8  # n! growth; 8 keeps the expansion at desk scale
 
 class Matrix:
     """Dense rows x cols matrix of exact scalars, row-major, immutable; it
-    keeps its determinant and inverse (``_det``, ``_inv``) once computed."""
+    keeps its determinant and inverse (``_det``, ``_inv``) once computed,
+    and can be weakly referenced."""
 
-    __slots__ = ("rows", "cols", "ctx", "entries", "_det", "_inv")
+    __slots__ = ("rows", "cols", "ctx", "entries", "_det", "_inv", "__weakref__")
 
     def __init__(self, rows: int, cols: int, entries: Sequence, ctx: RingContext):
         if rows < 1 or cols < 1:

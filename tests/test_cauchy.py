@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -444,9 +446,11 @@ class TestPerSpecMemo:
         got = [None] * 8
 
         def work(k):
+            held = build(spec) if k < 4 else None  # half race with a live matrix of their own
             start.wait()
             fns = (det_closed, inverse_closed) if k % 2 else (inverse_closed, det_closed)
             got[k] = {fn: fn(spec) for fn in fns}
+            del held
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -468,6 +472,58 @@ class TestPerSpecMemo:
         assert len(calls) == 1
         inverse_closed(spec)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("det_first", (True, False), ids=("det-first", "inverse-first"))
+    @pytest.mark.parametrize("source", ("no-matrix", "live-matrix", "dropped-matrix"))
+    @pytest.mark.parametrize("ctx", (F101, PrimeField(2**31 - 1)), ids=("f101", "p31"))
+    def test_both_sources_match_the_oracle(self, ctx, source, det_first):
+        rng = random.Random(43)
+        for n in (1, 2, 5, 9):
+            spec = rand_spec(rng, ctx, n, invertible=True)
+            oracle = build(CauchySpec(spec.xs, spec.ys, ctx)).inverse()
+            held = build(spec) if source != "no-matrix" else None
+            if source == "dropped-matrix":
+                ref = weakref.ref(held)
+                del held
+                gc.collect()
+                assert ref() is None
+            if det_first:
+                det_closed(spec)
+            assert inverse_closed(spec) == oracle
+            assert inverse_closed(spec) == oracle  # again, with the products kept
+
+    def test_live_matrix_and_kept_products_skip_the_pair_sums(self, monkeypatch):
+        batches, sums = [], []
+        inv_all, pair_sums = cauchy._inv_all_mod, cauchy._sums
+
+        def counting_inv_all(vs, p):
+            batches.append(len(vs))
+            return inv_all(vs, p)
+
+        def counting_sums(*args):
+            sums.append(args)
+            return pair_sums(*args)
+
+        spec = rand_spec(random.Random(47), PrimeField(2**31 - 1), 16, invertible=True)
+        m = build(spec)
+        det_closed(spec)
+        monkeypatch.setattr(cauchy, "_inv_all_mod", counting_inv_all)
+        monkeypatch.setattr(cauchy, "_sums", counting_sums)
+        inv = inverse_closed(spec)
+        assert batches == [2 * 16]
+        assert sums == []
+        assert inv == m.inverse()
+
+    def test_spec_keeps_no_strong_reference_to_its_matrix(self):
+        ctx = PrimeField(2**31 - 1)
+        spec = rand_spec(random.Random(53), ctx, 12, invertible=True)
+        oracle = build(CauchySpec(spec.xs, spec.ys, ctx)).inverse()
+        m = build(spec)
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert inverse_closed(spec) == oracle
 
 
 def first_zero_pair_sum(xs, ys, ctx):
@@ -611,7 +667,7 @@ class TestGoldenDigests:
     """sha256 of the rendered determinant and inverse on fixed seeded specs,
     pinned so that a faster kernel cannot change a single digit."""
 
-    @pytest.mark.parametrize("det_first", (True, False), ids=("det-first", "inverse-first"))
+    @pytest.mark.parametrize("order", ("det-first", "inverse-first", "build-first"))
     @pytest.mark.parametrize(
         "seed, n, ctx, draw, digest",
         (
@@ -624,13 +680,15 @@ class TestGoldenDigests:
         ),
         ids=("fp-n64", "q-n24", "int-n12"),
     )
-    def test_det_and_inverse(self, seed, n, ctx, draw, digest, det_first):
+    def test_det_and_inverse(self, seed, n, ctx, draw, digest, order):
         spec = golden_spec(seed, n, ctx, draw)
-        if det_first:
+        held = build(spec) if order == "build-first" else None  # held across both calls
+        if order != "inverse-first":
             det = det_closed(spec)
         inv = inverse_closed(spec)
-        if not det_first:
+        if order == "inverse-first":
             det = det_closed(spec)
         r = ctx.render
         text = "\n".join([r(det)] + [" ".join(map(r, row)) for row in inv.to_rows()])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        del held
