@@ -40,6 +40,8 @@ class FloatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[float]):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix must be at least 1x1, got {rows}x{cols}")
         entries = tuple(map(float, entries))
         if len(entries) != rows * cols:
             raise ValueError(f"{rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
@@ -52,12 +54,10 @@ class FloatMatrix:
 
     @classmethod
     def from_rows(cls, rows_seq) -> "FloatMatrix":
-        rows = len(rows_seq)
-        cols = len(rows_seq[0])
-        flat = []
-        for r in rows_seq:
-            flat.extend(r)
-        return cls(rows, cols, flat)
+        cols = len(rows_seq[0]) if rows_seq else 0
+        if any(len(r) != cols for r in rows_seq):
+            raise ValueError("ragged rows")
+        return cls(len(rows_seq), cols, [e for r in rows_seq for e in r])
 
     def entry(self, i: int, j: int) -> float:
         if not (0 <= i < self.rows and 0 <= j < self.cols):

@@ -64,6 +64,13 @@ def _loads(text: str):
     return json.loads(text, parse_int=lambda s: int(verify._bounded_scalar_text(s)))
 
 
+def _read_bounded(fh) -> str:
+    text = fh.read(verify._MAX_SPEC_TEXT + 1)
+    if len(text) > verify._MAX_SPEC_TEXT:
+        raise verify.SpecFormatError(f"spec longer than {verify._MAX_SPEC_TEXT} characters")
+    return text
+
+
 def _read_spec_arg(arg: str):
     """The parsed JSON of a SPEC argument, of any type: spec_from_json
     rejects one that is not an object."""
@@ -71,10 +78,10 @@ def _read_spec_arg(arg: str):
         if arg.lstrip().startswith(("{", "[", '"')):
             return _loads(arg)
         if arg == "-":
-            return _loads(sys.stdin.read())
+            return _loads(_read_bounded(sys.stdin))
         try:
             with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                text = _read_bounded(fh)
         except FileNotFoundError:
             try:  # a JSON scalar such as 42 that names no file is taken as JSON
                 return _loads(arg)
@@ -148,7 +155,7 @@ def cmd_gen(args) -> int:
         spec = verify.random_min_spec(rng, args.n)
     else:
         spec = verify.random_cauchy_spec(rng, ctx, args.n, strongly_distinct=not args.allow_degenerate)
-        if args.allow_degenerate and spec.n >= 2:
+        if args.allow_degenerate:
             spec = verify.force_repeated_value(rng, spec)
     print(_dump(verify.spec_to_json(spec)))
     return EXIT_OK

@@ -11,6 +11,10 @@ parsing, rendering, inversion, invertibility testing, and (rationals only)
 comparison. Addition, subtraction, multiplication and negation go through
 the ordinary Python operators on the scalars themselves.
 
+Every inversion in F_p, whether by ``PrimeField.inv``, by ``/`` either way
+round or by the batch :func:`_inv_all_mod`, goes through one helper,
+:func:`_inverse`, which raises :class:`NotInvertibleError` on zero.
+
 Scalars from different contexts never mix: arithmetic between a rational
 and a prime-field residue, or between residues modulo different primes,
 raises :class:`ContextMismatchError`. No floating point is used anywhere
@@ -77,6 +81,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _inverse(v: int, p: int) -> int:
+    """The inverse of the residue ``v`` (0 <= v < p) mod the prime ``p``."""
+    if v == 0:
+        raise NotInvertibleError(FpElement(0, p))
+    return pow(v, -1, p)
+
+
 def _inv_all_mod(vs: list, p: int) -> list:
     """The inverses mod the prime ``p`` of the integers ``vs``, as residues,
     with one modular inversion (Montgomery's trick, Math. Comp. 48, 1987):
@@ -86,20 +97,37 @@ def _inv_all_mod(vs: list, p: int) -> list:
     for v in vs:
         out.append(acc)  # the prefix product v_0 ... v_{k-1}, replaced below
         acc = acc * v % p
-    if acc == 0:
-        raise NotInvertibleError(FpElement(0, p))
-    acc = pow(acc, -1, p)  # 1/(v_0 ... v_k) at the top of each step below
+    acc = _inverse(acc, p)  # 1/(v_0 ... v_k) at the top of each step below
     for k in range(len(vs) - 1, -1, -1):
         out[k] = acc * out[k] % p
         acc = acc * vs.pop() % p
     return out
 
 
+def _binary(op):
+    """An :class:`FpElement` operator that applies ``op(a, b, p)`` to the
+    residue ``a`` of self and the residue ``b`` of the lifted operand. An
+    operand that is not a scalar gives NotImplemented, so Python tries its
+    reflected method."""
+
+    def method(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(op(self.value, v, self.p), self.p)
+
+    return method
+
+
 class FpElement:
     """A residue modulo the prime ``p``. Immutable value object.
 
-    Arithmetic with plain ``int`` lifts the integer into the field; any
-    other operand type is a context mismatch.
+    Arithmetic with plain ``int`` lifts the integer into the field. A
+    ``Fraction``, ``float`` or ``complex`` operand, or a residue modulo
+    another prime, is a context mismatch (:class:`ContextMismatchError`);
+    any other operand, such as a ``str``, ``None`` or a list, gets
+    NotImplemented, and so ``TypeError`` unless it defines the reflected
+    operator.
     """
 
     __slots__ = ("value", "p")
@@ -123,52 +151,15 @@ class FpElement:
             )
         return NotImplemented
 
-    def __add__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElement(self.value * v, self.p)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _binary(lambda a, b, p: a + b)
+    __sub__ = _binary(lambda a, b, p: a - b)
+    __rsub__ = _binary(lambda a, b, p: b - a)
+    __mul__ = __rmul__ = _binary(lambda a, b, p: a * b)
+    __truediv__ = _binary(lambda a, b, p: a * _inverse(b, p))
+    __rtruediv__ = _binary(lambda a, b, p: b * _inverse(a, p))
 
     def __neg__(self):
         return FpElement(-self.value, self.p)
-
-    def __truediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise NotInvertibleError(FpElement(0, self.p))
-        return FpElement(self.value * pow(v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._lift(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if self.value == 0:
-            raise NotInvertibleError(self)
-        return FpElement(v * pow(self.value, -1, self.p), self.p)
 
     def __pow__(self, exponent: int):
         if exponent < 0 and self.value == 0:
@@ -293,10 +284,7 @@ class PrimeField(_Context):
         return FpElement(int(text.strip()), self.p)
 
     def inv(self, a) -> FpElement:
-        a = self.coerce(a)
-        if a.value == 0:
-            raise NotInvertibleError(a)
-        return FpElement(pow(a.value, -1, self.p), self.p)
+        return FpElement(_inverse(self.coerce(a).value, self.p), self.p)
 
     def inv_all(self, values) -> list:
         """The inverses of ``values`` with one modular inversion (see

@@ -35,6 +35,11 @@ class SpecFormatError(CauchyKitError):
 # Scalar text is bounded before it is parsed: "1e999999999" would make
 # Fraction build 10**999999999, and int() of a long digit string is quadratic.
 _MAX_SCALAR_TEXT = 4300  # characters, and the size of a decimal exponent
+# A spec file or stdin is read up to this many characters: an unbounded read
+# of /dev/zero or an endless pipe exhausts memory before JSON parsing starts.
+# 2**24 holds a spec of 1000 + 1000 scalars of the full 4300 characters each.
+# (An inline spec is an argv string, which the OS already bounds.)
+_MAX_SPEC_TEXT = 2**24
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
@@ -57,14 +62,8 @@ class VerificationReport:
     seed: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-            "spec_echo": self.spec_echo,
-            "seed": self.seed,
-        }
+        """The fields as a JSON object, with ``passed`` under the key ``pass``."""
+        return {"pass" if k == "passed" else k: v for k, v in vars(self).items()}
 
 
 def _report(identity: str, lhs: str, rhs: str, spec_echo: dict, seed=None) -> VerificationReport:
@@ -96,17 +95,12 @@ def ring_from_json(obj) -> RingContext:
 
 
 def spec_to_json(spec: Union[cauchy.CauchySpec, minmat.MinSpec]) -> dict:
-    if isinstance(spec, cauchy.CauchySpec):
-        r = spec.ctx.render
-        return {
-            "kind": "cauchy",
-            "ring": ring_to_json(spec.ctx),
-            "xs": [r(x) for x in spec.xs],
-            "ys": [r(y) for y in spec.ys],
-        }
+    """The interchange JSON of a Cauchy or a min spec. Each scalar renders
+    with str, which is what ``ctx.render`` gives for a ring scalar."""
+    is_min = isinstance(spec, minmat.MinSpec)
     out = {
-        "kind": "min",
-        "ring": "rational",
+        "kind": "min" if is_min else "cauchy",
+        "ring": "rational" if is_min else ring_to_json(spec.ctx),
         "xs": [str(x) for x in spec.xs],
         "ys": [str(y) for y in spec.ys],
     }

@@ -49,6 +49,18 @@ class TestFloatMatrix:
         with pytest.raises(ValueError):
             FloatMatrix(1, 1, [float("inf")])
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            FloatMatrix.from_rows([[1.0, 2.0], [3.0, 4.0, 5.0], [6.0]])
+
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            FloatMatrix.from_rows([])
+
+    def test_rejects_an_empty_shape(self):
+        with pytest.raises(ValueError, match="at least 1x1, got 0x3"):
+            FloatMatrix(0, 3, [])
+
     def test_float_image(self):
         m = float_image(hilbert_spec(2))
         assert m.entry(0, 1) == 0.5

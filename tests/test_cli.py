@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import cauchykit
 from cauchykit.cauchy import CauchySpec, det_closed
+from cauchykit import verify
 from cauchykit.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, _build_parser, _exit_code_for, main
 from cauchykit.ring import RationalRing
 from cauchykit.verify import VerificationReport
@@ -28,6 +29,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_env():
+    """The environment for a ``python -m cauchykit`` subprocess that imports this checkout."""
+    src = str(Path(cauchykit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestCheckCommands:
@@ -255,6 +262,26 @@ class TestInputErrors:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    def test_spec_read_is_bounded(self, capsys, tmp_path, monkeypatch, source):
+        monkeypatch.setattr(verify, "_MAX_SPEC_TEXT", len(EXAMPLE))
+        for text, expected in ((EXAMPLE, (EXIT_OK, "1/420\n", "")), (EXAMPLE + " ", (
+                EXIT_INPUT, "", f"error: spec longer than {len(EXAMPLE)} characters\n"))):
+            if source == "file":
+                (tmp_path / "spec.json").write_text(text)
+                arg = str(tmp_path / "spec.json")
+            else:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                arg = "-"
+            assert run(capsys, "det", arg, "--format", "text") == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_spec_file_exits_2(self):
+        proc = subprocess.run([sys.executable, "-m", "cauchykit", "det", "/dev/zero"],
+                              capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
+        assert proc.stderr == f"error: spec longer than {verify._MAX_SPEC_TEXT} characters\n".encode()
+
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(EXAMPLE)
@@ -308,8 +335,7 @@ class TestVerify:
 
     def test_calls_in_one_process_share_no_state(self, capsys):
         # the parser is built once per process; each call parses afresh
-        src = str(Path(cauchykit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = cli_env()
         for argv in (["--seed", "1", "--format", "text"], ["--seed", "2", "--format", "csv"]):
             _, out, _ = run(capsys, "verify", *argv)
             fresh = subprocess.run(
@@ -319,11 +345,9 @@ class TestVerify:
             assert out.encode() == fresh
 
     def test_python_dash_m(self):
-        src = str(Path(cauchykit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run(
             [sys.executable, "-m", "cauchykit", "verify", "--seed", "42"],
-            capture_output=True, check=True, env=env,
+            capture_output=True, check=True, env=cli_env(),
         ).stdout
         assert hashlib.sha256(out).hexdigest() == (
             "1e20a0237e677280be4dc288734c33e0f8a5e220b77411dfd4c5cbf3f25dd797"

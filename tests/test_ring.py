@@ -21,6 +21,12 @@ RING = RationalRing()
 F101 = PrimeField(101)
 
 
+def assert_names_zero(err, p):
+    # every F_p inversion raises NotInvertibleError on the zero residue itself
+    assert isinstance(err.value, FpElement) and err.value == FpElement(0, p)
+    assert str(err) == f"not invertible: FpElement(0, p={p})"
+
+
 def egcd(a, b):
     # independent oracle for modular inverses
     if b == 0:
@@ -87,8 +93,9 @@ class TestPrimeField:
             assert F101.inv(v) == FpElement(x, 101)
 
     def test_inv_zero_rejected(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError) as exc:
             F101.inv(0)
+        assert_names_zero(exc.value, 101)
 
     def test_p_reduces_to_zero(self):
         assert not F101.is_invertible(101)
@@ -141,8 +148,11 @@ class TestPrimeField:
     def test_division(self):
         a = FpElement(7, 101)
         assert (a / FpElement(2, 101)) * FpElement(2, 101) == a
-        with pytest.raises(NotInvertibleError):
-            a / FpElement(0, 101)
+        for zero_division in (lambda: a / FpElement(0, 101), lambda: a / 0, lambda: a / 202,
+                              lambda: 1 / FpElement(0, 101), lambda: 7 / FpElement(101, 101)):
+            with pytest.raises(NotInvertibleError) as exc:
+                zero_division()
+            assert_names_zero(exc.value, 101)
 
 
 class TestInvAll:
@@ -165,12 +175,15 @@ class TestInvAll:
     def test_zero_anywhere_raises(self, ctx, position):
         values = [ctx.coerce(v) for v in (3, 5, 7, 11, 13)]
         values[position] = ctx.zero
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError) as exc:
             ctx.inv_all(values)
+        if ctx is F101:
+            assert_names_zero(exc.value, 101)
 
     def test_multiple_of_p_is_zero(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError) as exc:
             F101.inv_all([1, 202, 3])
+        assert_names_zero(exc.value, 101)
 
     @pytest.mark.parametrize("ctx", (RING, F101), ids=("rational", "f101"))
     def test_empty(self, ctx):
@@ -179,8 +192,9 @@ class TestInvAll:
     def test_residue_routine_takes_unreduced_integers(self):
         values = [3, 101 + 5, 2 * 101 - 1, -7]
         assert _inv_all_mod(list(values), 101) == [pow(v, -1, 101) for v in values]
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(NotInvertibleError) as exc:
             _inv_all_mod([1, 2 * 101, 3], 101)
+        assert_names_zero(exc.value, 101)
 
 
 class TestContextMixing:
@@ -203,6 +217,49 @@ class TestContextMixing:
     def test_int_lifts_fine(self):
         assert FpElement(100, 101) + 2 == FpElement(1, 101)
         assert 2 * FpElement(51, 101) == FpElement(1, 101)
+
+
+class TestOperands:
+    def test_each_operator_with_an_int_on_either_side(self):
+        a = FpElement(7, 101)
+        assert a + 100 == 100 + a == FpElement(6, 101)
+        assert (a - 10, 10 - a) == (FpElement(98, 101), FpElement(3, 101))
+        assert a * 30 == 30 * a == FpElement(210, 101)
+        assert (a / 2, 2 / a) == (FpElement(7 * 51, 101), FpElement(2 * pow(7, -1, 101), 101))
+
+    def test_foreign_operand_gets_its_reflected_method(self):
+        # a non-scalar operand makes FpElement return NotImplemented, so
+        # Python calls the operand's reflected method
+        class Foreign:
+            def __radd__(self, other):
+                return "radd", other
+
+            def __rsub__(self, other):
+                return "rsub", other
+
+            def __rmul__(self, other):
+                return "rmul", other
+
+            def __rtruediv__(self, other):
+                return "rtruediv", other
+
+        a, f = FpElement(3, 101), Foreign()
+        assert [a + f, a - f, a * f, a / f] == [("radd", a), ("rsub", a), ("rmul", a), ("rtruediv", a)]
+
+    @pytest.mark.parametrize("other", ["3", None, [3]], ids=("str", "none", "list"))
+    def test_other_non_scalars_raise_type_error(self, other):
+        a = FpElement(3, 101)
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other, lambda: other - a,
+                   lambda: a * other, lambda: a / other, lambda: other / a):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("other", [Q(1, 2), 0.5, 1j], ids=("fraction", "float", "complex"))
+    def test_fraction_float_and_complex_are_a_context_mismatch(self, other):
+        a = FpElement(3, 101)
+        for op in (lambda: a + other, lambda: other - a, lambda: a * other, lambda: other / a):
+            with pytest.raises(ContextMismatchError):
+                op()
 
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
