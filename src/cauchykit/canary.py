@@ -68,7 +68,7 @@ class FloatMatrix:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
     def entry_sum(self) -> float:
-        return math.fsum(self.entries)
+        return _fsum(self.entries)
 
 
 @dataclass
@@ -89,6 +89,14 @@ class CanaryReport:
 
 
 CSV_HEADER = "n,method,entry_sum_residual,identity_residual,elapsed"
+
+
+def _fsum(values) -> float:
+    """math.fsum of ``values``; ValueError where a partial sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise ValueError(f"a sum is past the float range: {exc}") from exc
 
 
 def _quotient(num: int, den: int) -> float:
@@ -120,35 +128,29 @@ def float_image(spec: CauchySpec) -> FloatMatrix:
 
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
     """Approximate inverse by Gauss-Jordan elimination with partial pivoting,
-    the standard generic float algorithm the canary stresses. In the left
-    block only the columns right of the pivot are updated: those at or left
-    of it are never read again. Every entry that is read goes through the
-    same operations, in the same order, as in a full-row update."""
+    the standard generic float algorithm the canary stresses, on the
+    augmented rows [A | I]. Only the columns right of the pivot are updated:
+    those at or left of it are never read again. Every entry that is read
+    goes through the same operations, in the same order, as in a full-row
+    update."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    a = m.to_rows()
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    a = [row + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m.to_rows())]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[pivot_row][col] == 0.0:
             raise ExactZeroPivotError(f"zero pivot in column {col}")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        live = col + 1  # the left block's columns still to be read
+        live = col + 1  # the columns still to be read
         d = a[col][col]
-        pivot = [v / d for v in a[col][live:]]
-        a[col][live:] = pivot
-        inv[col] = [v / d for v in inv[col]]
+        pivot = a[col][live:] = [v / d for v in a[col][live:]]
         for r in range(n):
-            if r == col:
-                continue
             f = a[r][col]
-            if f != 0.0:
+            if r != col and f != 0.0:
                 a[r][live:] = [v - f * w for v, w in zip(a[r][live:], pivot)]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return FloatMatrix.from_rows(inv)
+    return FloatMatrix.from_rows([row[n:] for row in a])
 
 
 def _scale(us: Sequence[float], vs: Sequence[float], j: int) -> float:
@@ -197,7 +199,7 @@ def identity_residual(c: FloatMatrix, c_inv: FloatMatrix) -> float:
         row = c.entries[i * c.cols : (i + 1) * c.cols]
         for j, col in enumerate(cols):
             target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(math.fsum(map(operator.mul, row, col)) - target))
+            worst = max(worst, abs(_fsum(map(operator.mul, row, col)) - target))
     if not math.isfinite(worst):
         raise ValueError(f"non-finite entry {worst!r} in C * C_inv")
     return worst

@@ -52,6 +52,16 @@ def _positive_int(text: str) -> int:
     return v
 
 
+MAX_TRIALS = 1000  # verify --trials 1000 --n 8, the largest call, runs in a few seconds
+
+
+def _trial_count(text: str) -> int:
+    v = _positive_int(text)
+    if v > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"trial count must be in 1..{MAX_TRIALS}")
+    return v
+
+
 def _size_bound(text: str) -> int:
     v = int(text)
     if not 1 <= v <= 8:
@@ -230,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "spec": dict(help="spec file path, '-' for stdin, or inline JSON"),
         "--ring": dict(default="rational", help="rational | prime:P (default rational)"),
         "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-        "--trials": dict(type=_positive_int, default=20, help="random trials (default 20)"),
+        "--trials": dict(type=_trial_count, default=20, help=f"random trials, 1..{MAX_TRIALS} (default 20)"),
         "--n": dict(type=_size_bound, default=6, help="max random size, 1..8 (default 6)"),
         "--kind": dict(choices=("cauchy", "min"), default="cauchy", help="spec kind to generate"),
         "--minus-convention": dict(

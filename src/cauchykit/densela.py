@@ -11,11 +11,20 @@ Cayley-Hamilton on the characteristic polynomial, shares no code with it.
 
 Elimination runs on raw integers (:func:`_eliminate`): over Q each entry is
 its own pair (numerator, denominator), over F_p a plain residue, and each
-result crosses back into the ring once. The kernel is written apart from
-the closed forms' integer kernel in :mod:`cauchykit.cauchy`, from the
-batch inversion in :mod:`cauchykit.ring` and from the Berkowitz lift here,
-and it never calls the ring's ``inv``, so the oracle does not share the
-arithmetic it checks.
+result crosses back into the ring once. It lifts nothing. The kernel is
+written apart from the closed forms' integer kernel in
+:mod:`cauchykit.cauchy`, from the batch inversion in :mod:`cauchykit.ring`
+and from the Berkowitz lift here, and it never calls the ring's ``inv``, so
+the oracle does not share the arithmetic it checks.
+
+The division-free routes work on an integer lift (:func:`_lift`) and lower
+each result through the ring once. :meth:`Matrix.charpoly` and the AB trace
+lemma scale the whole matrix by the lcm D of all its denominators;
+:meth:`Matrix.det_berkowitz`, :meth:`Matrix.adjugate` and
+:meth:`Matrix.adjugate_entry_sum` scale row i by the lcm r_i of its own
+denominators, R = diag(r_i), which keeps the lifted entries small when the
+denominators are coprime. A row scaling is not a similarity, so the
+characteristic polynomial keeps the whole-matrix lift.
 
 Matrices are immutable. All indices are 0-based.
 """
@@ -23,6 +32,7 @@ Matrices are immutable. All indices are 0-based.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -186,46 +196,51 @@ class Matrix:
         """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
         by Berkowitz's algorithm: no division, valid for singular A."""
         self._require_square("charpoly")
-        a, d = _lift(self.to_rows(), self.ctx)
-        return [_lower(self.ctx, c, d**k) for k, c in enumerate(_berkowitz(a))]
+        a, r = _lift(self.to_rows(), self.ctx)
+        return [_lower(self.ctx, c, r[0] ** k) for k, c in enumerate(_berkowitz(a))]
+
+    def _row_lift(self, what: str) -> tuple[list[list], list, list]:
+        """(RA, r, the characteristic polynomial of RA) for the row lift R =
+        diag(r) of :func:`_lift`; ``what`` names the caller in a shape error."""
+        self._require_square(what)
+        a, r = _lift(self.to_rows(), self.ctx, by_row=True)
+        return a, r, _berkowitz(a)
 
     def det_berkowitz(self) -> Scalar:
-        """Determinant as (-1)^n c_n of the characteristic polynomial, a
-        route that shares nothing with elimination."""
-        c_n = self.charpoly()[-1]
-        return c_n if self.rows % 2 == 0 else -c_n
+        """Determinant as (-1)^n c_n(RA) / det R on the row lift, a route
+        that shares nothing with elimination."""
+        _, r, c = self._row_lift("det_berkowitz")
+        return _lower(self.ctx, (-1) ** self.rows * c[-1], math.prod(r))
 
     def adjugate(self) -> "Matrix":
-        """Adjugate by Cayley-Hamilton: adj(A) = (-1)^(n-1) (A^(n-1) + c_1
-        A^(n-2) + ... + c_(n-1) I), evaluated by Horner. For the 1x1 matrix
-        this is [[1]]. Satisfies A * adj(A) = adj(A) * A = det(A) * I in any
-        commutative ring, singular A included."""
-        self._require_square("adjugate")
+        """Adjugate by Cayley-Hamilton on the row lift: adj(RA) = (-1)^(n-1)
+        ((RA)^(n-1) + c_1 (RA)^(n-2) + ... + c_(n-1) I), evaluated by Horner,
+        and adj(A) = adj(RA) R / det R. For the 1x1 matrix this is [[1]].
+        Satisfies A * adj(A) = adj(A) * A = det(A) * I in any commutative
+        ring, singular A included."""
+        a, r, c = self._row_lift("adjugate")
         n = self.rows
-        a, d = _lift(self.to_rows(), self.ctx)
-        c = _berkowitz(a)
-        b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- A B + c_k I
+        b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- RA B + c_k I
         for k in range(1, n):
             b = _matmul(a, b)
             for i in range(n):
                 b[i][i] += c[k]
-        sign, scale = (-1) ** (n - 1), d ** (n - 1)
-        entries = [_lower(self.ctx, sign * e, scale) for row in b for e in row]
+        sign, scale = (-1) ** (n - 1), math.prod(r)
+        entries = [_lower(self.ctx, sign * e * rj, scale) for row in b for e, rj in zip(row, r)]
         return Matrix._of(n, n, entries, self.ctx)
 
     def adjugate_entry_sum(self) -> Scalar:
-        """1^T adj(A) 1 = (-1)^(n-1) sum_{k<n} c_(n-1-k) 1^T A^k 1, from the
-        characteristic polynomial and the Krylov vectors A^k 1: O(n^3) past
-        the O(n^4) polynomial, with no adjugate built."""
-        self._require_square("adjugate_entry_sum")
+        """1^T adj(A) 1 = 1^T adj(RA) r / det R = (-1)^(n-1) sum_{k<n}
+        c_(n-1-k) 1^T (RA)^k r / det R, from the characteristic polynomial of
+        the row lift and its Krylov vectors (RA)^k r: O(n^3) past the O(n^4)
+        polynomial, with no adjugate built."""
+        a, r, c = self._row_lift("adjugate_entry_sum")
         n = self.rows
-        a, d = _lift(self.to_rows(), self.ctx)
-        c = _berkowitz(a)
-        v, acc = [1] * n, 0  # v = A^k 1
+        v, acc = r, 0  # v = (RA)^k r
         for k in range(n):
             acc += c[n - 1 - k] * sum(v)
             v = [_dot(row, v) for row in a]
-        return _lower(self.ctx, (-1) ** (n - 1) * acc, d ** (n - 1))
+        return _lower(self.ctx, (-1) ** (n - 1) * acc, math.prod(r))
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3), on
@@ -273,11 +288,9 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
 
 
 def _dot(u, v):
-    """sum u_i v_i over the shorter of the two, in any ring (or the integers)."""
-    acc = 0
-    for x, y in zip(u, v):
-        acc = acc + x * y
-    return acc
+    """sum u_i v_i over the shorter of the two, in any ring (or the integers),
+    added left to right from the int 0."""
+    return sum(map(operator.mul, u, v))
 
 
 def _matmul(a: list[list], b: list[list]) -> list[list]:
@@ -285,16 +298,21 @@ def _matmul(a: list[list], b: list[list]) -> list[list]:
     return [[_dot(ai, col) for col in cols] for ai in a]
 
 
-def _lift(rows: list[list], ctx: RingContext) -> tuple[list[list], int]:
-    """The integer matrix D*A for the rows of A, and its scale D: over Q the
-    least common denominator of the entries, over F_p the residues with
-    D = 1. Division-free work on D*A maps back to A through the ring, since
-    c_k(DA) = D^k c_k(A) and adj(DA) = D^(n-1) adj(A); integers skip the
-    gcd of every Fraction operation and the object of every residue."""
+def _lift(rows: list[list], ctx: RingContext, by_row: bool = False) -> tuple[list[list], list]:
+    """The integer matrix R*A for the rows of A, and the diagonal r of its
+    scale R: over Q each r_i is the least common denominator of row i with
+    ``by_row``, else every r_i is the lcm D of all the entries' denominators;
+    over F_p the residues with R = I. Division-free work on the lift maps
+    back to A through the ring, since c_k(DA) = D^k c_k(A), det(RA) =
+    det R det A and adj(RA) = adj(A) adj(R) = det R adj(A) R^-1; integers
+    skip the gcd of every Fraction operation and the object of every
+    residue."""
     if isinstance(ctx, PrimeField):
-        return [[e.value for e in row] for row in rows], 1
-    d = math.lcm(*(e.denominator for row in rows for e in row))
-    return [[e.numerator * (d // e.denominator) for e in row] for row in rows], d
+        return [[e.value for e in row] for row in rows], [1] * len(rows)
+    r = [math.lcm(*(e.denominator for e in row)) for row in rows]
+    if not by_row:
+        r = [math.lcm(*r)] * len(r)
+    return [[e.numerator * (ri // e.denominator) for e in row] for row, ri in zip(rows, r)], r
 
 
 def _lower(ctx: RingContext, v: int, scale: int) -> Scalar:
@@ -428,7 +446,10 @@ def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scal
     are equal for every A and B; returning both keeps the check auditable.
     Only the trace terms of the right side are formed, (AB)[i,i] as the dot
     product of row i of A with column i of B and (BA)[j,j] likewise, so the
-    work is O(nm) ring operations with no whole product AB or BA.
+    work is O(nm) with no whole product AB or BA. Both sides run on the
+    whole-matrix integer lifts of A, B and the weights (:func:`_lift`), and
+    each crosses back into the ring once, over the product of the three
+    scales.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("A and B live in different ring contexts")
@@ -443,16 +464,14 @@ def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scal
         raise ShapeError(
             f"need {a.rows} x-weights and {a.cols} y-weights, got {len(xs)} and {len(ys)}"
         )
-    lhs = ctx.zero
-    for i in range(a.rows):
-        for j in range(a.cols):
-            lhs = lhs + (xs[i] + ys[j]) * a.entry(i, j) * b.entry(j, i)
-    rhs = ctx.zero
-    for i in range(a.rows):
-        rhs = rhs + xs[i] * _dot(a.row(i), b.column(i))
-    for j in range(a.cols):
-        rhs = rhs + ys[j] * _dot(b.row(j), a.column(j))
-    return lhs, rhs
+    ia, (da, *_) = _lift(a.to_rows(), ctx)
+    ib, (db, *_) = _lift(b.to_rows(), ctx)
+    (ix, iy), (dw, _) = _lift([xs, ys], ctx)
+    ia_cols, ib_cols = list(zip(*ia)), list(zip(*ib))  # ib_cols[i][j] = B[j, i]
+    lhs = sum((x + y) * u * v for x, ra, cb in zip(ix, ia, ib_cols) for y, u, v in zip(iy, ra, cb))
+    rhs = _dot(ix, map(_dot, ia, ib_cols)) + _dot(iy, map(_dot, ib, ia_cols))
+    scale = da * db * dw
+    return _lower(ctx, lhs, scale), _lower(ctx, rhs, scale)
 
 
 def border_with_ones(a: Matrix) -> Matrix:

@@ -156,11 +156,17 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
 # Seeded random generators
 
 
+# Fraction(a, b) for a in -9..9 (rows) and b in 1..9 (columns), the rationals
+# random_scalar draws: randint(a, b) is a + randrange(b - a + 1), so an index
+# pair takes the same two draws from the stream as the two randint calls.
+_SMALL = [[Fraction(a, b) for b in range(1, 10)] for a in range(-9, 10)]
+
+
 def random_scalar(rng: random.Random, ctx: RingContext):
     """Small random scalar: numerator in [-9, 9] over denominator in [1, 9]
     for rationals, a uniform residue for a prime field."""
     if isinstance(ctx, RationalRing):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return _SMALL[rng.randrange(19)][rng.randrange(9)]
     return ctx.coerce(rng.randrange(ctx.p))
 
 

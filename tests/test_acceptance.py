@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from cauchykit import cauchy, minmat
@@ -256,6 +257,10 @@ def test_criterion_11_inverse_large_n():
 def test_criterion_12_berkowitz_det():
     p31 = PrimeField(2**31 - 1)
     specs = [hilbert_spec(16), hilbert_spec(24), cauchy.CauchySpec(range(1, 25), range(25, 49), p31)]
+    # 48 distinct prime denominators at n = 24, invertible and with a repeated x
+    primes = [q for q in range(2, 230) if all(q % d for d in range(2, q))][:48]
+    xs, ys = [Fraction(i + 1, q) for i, q in enumerate(primes[:24])], [Fraction(1, q) for q in primes[24:]]
+    specs += [cauchy.CauchySpec(xs, ys, RING), cauchy.CauchySpec([xs[0]] + xs[:-1], ys, RING)]
     for spec in specs + singular_heavy_specs():
         m = cauchy.build(spec)
         assert m.det_berkowitz() == m.det_fast()

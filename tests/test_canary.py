@@ -246,8 +246,82 @@ def full_row_gauss_pp(m):
     return FloatMatrix.from_rows(inv)
 
 
+def two_block_gauss_pp(m):
+    """Gauss-Jordan with partial pivoting on [A | I] held as two blocks, the
+    left one updated right of the pivot only."""
+    n = m.rows
+    a = m.to_rows()
+    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[pivot_row][col] == 0.0:
+            raise ExactZeroPivotError(f"zero pivot in column {col}")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        live = col + 1
+        d = a[col][col]
+        pivot = [v / d for v in a[col][live:]]
+        a[col][live:] = pivot
+        inv[col] = [v / d for v in inv[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = a[r][col]
+            if f != 0.0:
+                a[r][live:] = [v - f * w for v, w in zip(a[r][live:], pivot)]
+                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+    return FloatMatrix.from_rows(inv)
+
+
 def bits(values):
     return [float.hex(v) for v in values]
+
+
+def swap_forcing_matrices(count):
+    """Random float matrices whose first row is scaled far down, so the
+    first pivot is found by a row swap; about a fifth of the entries are
+    exactly zero, and signs are mixed, so negative pivots make signed zeros."""
+    rng = random.Random(311)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        rows = [[0.0 if rng.random() < 0.2 else rng.uniform(-1, 1) for _ in range(n)]
+                for _ in range(n)]
+        rows[0] = [v * 1e-3 for v in rows[0]]
+        out.append(FloatMatrix.from_rows(rows))
+    return out
+
+
+@pytest.mark.parametrize(
+    "m", [float_image(hilbert_spec(n)) for n in range(1, 15)] + swap_forcing_matrices(40),
+    ids=lambda m: f"n{m.rows}")
+def test_augmented_rows_match_two_blocks_bit_for_bit(m):
+    try:
+        want = bits(two_block_gauss_pp(m).entries)
+    except ExactZeroPivotError as exc:  # an exact zero column from the dropped entries
+        with pytest.raises(ExactZeroPivotError, match=str(exc)):
+            invert_gauss_pp(m)
+        return
+    assert bits(invert_gauss_pp(m).entries) == want
+
+
+def test_augmented_rows_raise_at_the_same_zero_pivot():
+    m = FloatMatrix.from_rows([[2.0, 1.0, 3.0], [4.0, 2.0, 1.0], [6.0, 3.0, 5.0]])  # column 1 = column 0 / 2
+    with pytest.raises(ExactZeroPivotError, match="zero pivot in column 1"):
+        two_block_gauss_pp(m)
+    with pytest.raises(ExactZeroPivotError, match="zero pivot in column 1"):
+        invert_gauss_pp(m)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lambda wide: wide.entry_sum(), lambda wide: identity_residual(wide, FloatMatrix(2, 1, [1.0, 1.0]))],
+    ids=("entry_sum", "identity_residual"),
+)
+def test_overflowing_sums_raise_value_error(route):
+    with pytest.raises(ValueError, match="past the float range"):
+        route(FloatMatrix(1, 2, [1e308, 1e308]))
 
 
 def random_rational_specs(count):

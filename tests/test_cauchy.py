@@ -1,14 +1,18 @@
+import contextlib
 import gc
 import hashlib
+import io
+import json
 import random
 import sys
 import threading
+import time
 import weakref
 from fractions import Fraction as Q
 
 import pytest
 
-from cauchykit import cauchy
+from cauchykit import cauchy, cli
 from cauchykit.cauchy import (
     CauchySpec,
     NonInvertiblePairSumError,
@@ -21,8 +25,9 @@ from cauchykit.cauchy import (
     inverse_entry_sum,
     is_invertible_spec,
 )
-from cauchykit.densela import border_with_ones
+from cauchykit.densela import Matrix, border_with_ones
 from cauchykit.ring import NotInvertibleError, PrimeField, RationalRing
+from cauchykit.verify import spec_to_json
 
 RING = RationalRing()
 F101 = PrimeField(101)
@@ -617,8 +622,29 @@ class TestIntegerKernel:
         assert inverse_closed(spec) == m.inverse()
         assert all(inverse_entry_closed(spec, i, j) == m.inverse().entry(i, j)
                    for i in range(n) for j in range(n))
-        if n <= 12:  # Berkowitz scales by the lcm of all n^2 entry denominators, too slow at n = 24
-            assert m.det_berkowitz() == det_closed(spec)
+        assert m.det_berkowitz() == det_closed(spec)
+
+    def test_adjsum_at_n24_within_a_second(self):
+        spec = prime_denominator_spec(24, 24)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["adjsum", json.dumps(spec_to_json(spec)), "--format", "text"])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and out.getvalue().endswith(" PASS\n")
+        assert elapsed < 1.0, f"adjsum took {elapsed:.2f} s at n = 24"
+
+    @pytest.mark.parametrize("singular", (False, True), ids=("invertible", "singular"))
+    def test_adjugate_on_prime_denominators(self, singular):
+        spec = prime_denominator_spec(12, 12)
+        if singular:  # a repeated x: det = 0, every pair sum still nonzero
+            spec = CauchySpec([spec.xs[0], *spec.xs[:-1]], spec.ys, RING)
+        m = build(spec)
+        adj, det = m.adjugate(), det_closed(spec)
+        det_i = Matrix(12, 12, [det if i == j else 0 for i in range(12) for j in range(12)], RING)
+        assert m * adj == adj * m == det_i
+        assert adj.entry_sum() == m.adjugate_entry_sum() == adjugate_entry_sum_closed(spec)
+        assert (det == 0) == singular and any(adj.entries)
 
     def test_integer_parameters_take_the_unit_path(self):
         vals = random.Random(127).sample(range(-40, 41), 16)

@@ -179,6 +179,9 @@ def corpus() -> dict:
             add([command, *spec, *flag], names={SPECS["c2"]: "@c2"})
     for argv in (["verify", "--trials", "0"], ["verify", "--n", "9"], ["verify", "--n", "0"],
                  ["verify", "--seed", "x"], ["lemma-ab", "--trials", "-1"], ["canary", "--n", "0"],
+                 ["verify", "--trials", "1001"], ["verify", "--trials", "1000000000"],
+                 ["lemma-ab", "--trials", "1000", "--n", "1", "--format", "csv"], ["lemma-ab", "--trials", "1001"],
+                 ["lemma-ab", "--trials", "1000000000"],
                  ["canary", "--format", "xml"], ["gen", "--n", "9"], ["det", SPECS["c2"], "--format", "csv"],
                  [], ["nosuch"], ["--format", "json"]):
         add(argv, names={SPECS["c2"]: "@c2"})

@@ -541,6 +541,60 @@ class TestLemmaTraceTerms:
         assert lemma_ab_check(a, b, WeightVectors((1, 2), (3, 4, 5))) == (337, 337)
 
 
+def ring_lemma(a, b, w):
+    """Both sides of the trace identity in ring arithmetic, one ring
+    operation per term, with the trace terms as dot products."""
+    ctx = a.ctx
+    xs, ys = [ctx.coerce(x) for x in w.xs], [ctx.coerce(y) for y in w.ys]
+    lhs = ctx.zero
+    for i in range(a.rows):
+        for j in range(a.cols):
+            lhs = lhs + (xs[i] + ys[j]) * a.entry(i, j) * b.entry(j, i)
+    rhs = ctx.zero
+    for i in range(a.rows):
+        rhs = rhs + xs[i] * sum((u * v for u, v in zip(a.row(i), b.column(i))), ctx.zero)
+    for j in range(a.cols):
+        rhs = rhs + ys[j] * sum((u * v for u, v in zip(b.row(j), a.column(j))), ctx.zero)
+    return lhs, rhs
+
+
+def lift_scalar(rng, ctx, dens):
+    """A lemma operand: over Q with a denominator drawn from ``dens``
+    (None: an int), over F_p a uniform residue."""
+    if ctx is not RING:
+        return ctx.coerce(rng.randrange(ctx.p))
+    num = rng.randint(-10**6, 10**6)
+    return num if dens is None else Q(num, rng.choice(dens))
+
+
+class TestLemmaLift:
+    """lemma_ab_check on integer lifts returns exactly the ring-arithmetic
+    sides, whatever the denominators share."""
+
+    DENOMINATORS = {  # operand denominators over Q; the weights take the same
+        "small": range(1, 10),
+        "shared": (6, 12, 36),
+        "coprime": BIG_PRIMES[:60],
+    }
+
+    @pytest.mark.parametrize("ctx, dens", [(RING, d) for d in DENOMINATORS] + [(F101, None), (F61, None)],
+                             ids=[f"q-{d}" for d in DENOMINATORS] + ["f101", "f2^61-1"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (6, 4)])
+    def test_equals_ring_arithmetic(self, ctx, dens, n, m):
+        rng = random.Random(7 * n + m)
+        pool = self.DENOMINATORS.get(dens)
+        for int_weights in (False, True):
+            wd = None if int_weights else pool
+            a = Matrix(n, m, [lift_scalar(rng, ctx, pool) for _ in range(n * m)], ctx)
+            b = Matrix(m, n, [lift_scalar(rng, ctx, pool) for _ in range(n * m)], ctx)
+            w = WeightVectors(tuple(lift_scalar(rng, ctx, wd) for _ in range(n)),
+                              tuple(lift_scalar(rng, ctx, wd) for _ in range(m)))
+            got, want = lemma_ab_check(a, b, w), ring_lemma(a, b, w)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert got[0] == got[1]
+
+
 class TestBorder:
     def test_one_by_one(self):
         a = Matrix.from_rows([[Q(5)]], RING)

@@ -11,6 +11,7 @@ from cauchykit.verify import (
     force_repeated_value,
     random_cauchy_spec,
     random_min_spec,
+    random_scalar,
     ring_from_json,
     ring_to_json,
     run_suite,
@@ -124,6 +125,13 @@ class TestGenerators:
         a = random_cauchy_spec(random.Random(99), RING, 4)
         b = random_cauchy_spec(random.Random(99), RING, 4)
         assert a.xs == b.xs and a.ys == b.ys
+
+    def test_rational_draws_follow_the_randint_stream(self):
+        # the draw as written with randint: same values, same stream state after
+        rng, ref = random.Random(2024), random.Random(2024)
+        for _ in range(10_000):
+            assert random_scalar(rng, RING) == Q(ref.randint(-9, 9), ref.randint(1, 9))
+        assert rng.getstate() == ref.getstate()
 
 
 class TestSuite:
