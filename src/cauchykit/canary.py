@@ -156,12 +156,10 @@ def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:
 def _scale(us: Sequence[float], vs: Sequence[float], j: int) -> float:
     """prod_k (u_j + v_k) / prod_{k != j} (u_j - u_k) in floats, in O(n): the
     column scale a_j with (xs, ys), the row scale b_i with (ys, xs). Each
-    product is rounded as it grows, and the quotient is num * (1/den)."""
-    num = den = 1.0
-    for k in range(len(us)):
-        num = num * (us[j] + vs[k])
-        if k != j:
-            den = den * (us[j] - us[k])
+    product starts from an exact 1 and is rounded as it grows, in k order,
+    and the quotient is num * (1/den)."""
+    num = math.prod([us[j] + v for v in vs])
+    den = math.prod([us[j] - u for k, u in enumerate(us) if k != j])
     try:
         return num * (1.0 / den)
     except ZeroDivisionError:
@@ -214,22 +212,11 @@ def run_canary(spec: CauchySpec) -> tuple[CanaryReport, CanaryReport]:
     c_float = float_image(spec)
     weight = spec.weight_sum()
     truth = _quotient(weight.numerator, weight.denominator)
-
-    t0 = time.perf_counter()
-    closed = invert_closed_float(spec)
-    t_closed = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    gauss = invert_gauss_pp(c_float)
-    t_gauss = time.perf_counter() - t0
-
-    def score(inv: FloatMatrix, method: str, elapsed: float) -> CanaryReport:
-        return CanaryReport(
-            n=spec.n,
-            method=method,
-            entry_sum_residual=abs(inv.entry_sum() - truth),
-            identity_residual=identity_residual(c_float, inv),
-            elapsed=elapsed,
-        )
-
-    return score(closed, "closed_form", t_closed), score(gauss, "gauss_pp", t_gauss)
+    timed = []  # both inversions run before either is scored
+    for method, invert, argument in (("closed_form", invert_closed_float, spec),
+                                     ("gauss_pp", invert_gauss_pp, c_float)):
+        t0 = time.perf_counter()
+        timed.append((method, invert(argument), time.perf_counter() - t0))
+    return tuple(CanaryReport(spec.n, method, abs(inv.entry_sum() - truth),
+                              identity_residual(c_float, inv), elapsed)
+                 for method, inv, elapsed in timed)

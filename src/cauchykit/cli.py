@@ -3,7 +3,8 @@
 Subcommands either compute (build, det, inv, gen) or verify (everything
 else). Verification subcommands print reports carrying both the closed
 form and the oracle value; exit status 0 means every report passed, 1
-means some identity check failed, 2 means the input was unusable.
+means some identity check failed, 2 means the input was unusable, and
+141 means the reader closed stdout before the output was written.
 
 A subcommand takes only the flags its handler reads; any other exits 2.
 ``--format`` is json|text for det, json|csv|text for the verification
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import reprlib
 import sys
@@ -32,6 +34,7 @@ from .ring import CauchyKitError, PrimeField, RationalRing, RingContext
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout before the output was written
 
 
 def _parse_ring(text: str) -> RingContext:
@@ -45,28 +48,22 @@ def _parse_ring(text: str) -> RingContext:
     raise verify.SpecFormatError(f'ring must be "rational" or "prime:P", got {reprlib.repr(text)}')
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return v
-
-
 MAX_TRIALS = 1000  # verify --trials 1000 --n 8, the largest call, runs in a few seconds
 
 
-def _trial_count(text: str) -> int:
-    v = _positive_int(text)
-    if v > MAX_TRIALS:
-        raise argparse.ArgumentTypeError(f"trial count must be in 1..{MAX_TRIALS}")
-    return v
+def _int_in(lo: int, hi: float, what: str):
+    """An argparse type for an int in lo..hi, ``what`` its out-of-range
+    message. It is named ``int``, so a non-integer value reads "invalid int
+    value" whichever flag it came from."""
 
+    def check(text: str) -> int:
+        v = int(text)
+        if not lo <= v <= hi:
+            raise argparse.ArgumentTypeError(what)
+        return v
 
-def _size_bound(text: str) -> int:
-    v = int(text)
-    if not 1 <= v <= 8:
-        raise argparse.ArgumentTypeError("size bound must be in 1..8")
-    return v
+    check.__name__ = "int"
+    return check
 
 
 def _loads(text: str):
@@ -119,7 +116,8 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _emit_reports(reports, fmt: str, envelope: dict | None = None) -> None:
+def _emit_reports(reports, fmt: str, envelope: dict | None = None) -> int:
+    """Print ``reports`` in ``fmt`` and return their exit code."""
     if fmt == "json":
         dicts = [r.to_json_dict() for r in reports]
         if envelope is not None:
@@ -144,6 +142,7 @@ def _emit_reports(reports, fmt: str, envelope: dict | None = None) -> None:
         if len(reports) > 1:
             bad = sum(not r.passed for r in reports)
             print(f"{len(reports) - bad}/{len(reports)} passed")
+    return _exit_code_for(reports)
 
 
 def _exit_code_for(reports) -> int:
@@ -189,24 +188,20 @@ def cmd_det(args) -> int:
 
 def cmd_check(args) -> int:
     identity, kind, prepare = args.runs
-    report = verify.check_identity(identity, _load_spec(args, kind, prepare))
-    _emit_reports([report], args.format)
-    return _exit_code_for([report])
+    return _emit_reports([verify.check_identity(identity, _load_spec(args, kind, prepare))], args.format)
 
 
 def cmd_lemma_ab(args) -> int:
     rng = random.Random(args.seed)
     ctx = _parse_ring(args.ring)
     reports = [verify.random_lemma_ab(rng, ctx, args.n, args.seed) for _ in range(args.trials)]
-    _emit_reports(reports, args.format)
-    return _exit_code_for(reports)
+    return _emit_reports(reports, args.format)
 
 
 def cmd_verify(args) -> int:
     reports = verify.run_suite(args.seed, args.trials, args.n)
     envelope = {"command": "verify", "seed": args.seed, "trials": args.trials, "n_max": args.n}
-    _emit_reports(reports, args.format, envelope)
-    return _exit_code_for(reports)
+    return _emit_reports(reports, args.format, envelope)
 
 
 def cmd_canary(args) -> int:
@@ -240,8 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "spec": dict(help="spec file path, '-' for stdin, or inline JSON"),
         "--ring": dict(default="rational", help="rational | prime:P (default rational)"),
         "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-        "--trials": dict(type=_trial_count, default=20, help=f"random trials, 1..{MAX_TRIALS} (default 20)"),
-        "--n": dict(type=_size_bound, default=6, help="max random size, 1..8 (default 6)"),
+        "--trials": dict(type=_int_in(1, MAX_TRIALS, f"trial count must be in 1..{MAX_TRIALS}"),
+                         default=20, help=f"random trials, 1..{MAX_TRIALS} (default 20)"),
+        "--n": dict(type=_int_in(1, 8, "size bound must be in 1..8"), default=6,
+                    help="max random size, 1..8 (default 6)"),
         "--kind": dict(choices=("cauchy", "min"), default="cauchy", help="spec kind to generate"),
         "--minus-convention": dict(
             action="store_true", help="negate the ys on ingestion (input uses 1/(x - y) entries)"
@@ -252,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format": dict(choices=("json", "csv", "text"), default="json", help="output format"),
     }
     overrides = {  # (subcommand, flag): settings that differ from the flag's row above
-        ("canary", "--n"): dict(type=_positive_int, default=12, help=(
+        ("canary", "--n"): dict(type=_int_in(1, float("inf"), "must be at least 1"), default=12, help=(
             "largest Hilbert size; the ladder 3, 6, 9, 12 is filtered to <= n (default 12)")),
         ("det", "--format"): dict(choices=("json", "text"), default="json", help="output format"),
     }
@@ -303,7 +300,12 @@ def main(argv=None) -> int:
     set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     set_limit(0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader is gone: stdout to devnull, so the exit-time flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (CauchyKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

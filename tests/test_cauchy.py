@@ -81,6 +81,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             CauchySpec([], [], RING)
 
+    def test_repr(self):
+        assert repr(CauchySpec([Q(1, 2), -3], [2, 5], RING)) == "CauchySpec(xs=[1/2, -3], ys=[2, 5])"
+        assert repr(CauchySpec([3, 105], [7, -1], F101)) == "CauchySpec(xs=[3, 4], ys=[7, 100])"
+
 
 class TestDetClosed:
     def test_example(self):

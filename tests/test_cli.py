@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import cauchykit
 from cauchykit.cauchy import CauchySpec, det_closed
 from cauchykit import verify
-from cauchykit.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, _build_parser, _exit_code_for, main
+from cauchykit.cli import (EXIT_IDENTITY, EXIT_INPUT, EXIT_OK, EXIT_PIPE, _build_parser, _exit_code_for,
+                           main)
 from cauchykit.ring import RationalRing
 from cauchykit.verify import VerificationReport
 
@@ -282,6 +283,27 @@ class TestInputErrors:
         assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
         assert proc.stderr == f"error: spec longer than {verify._MAX_SPEC_TEXT} characters\n".encode()
 
+    @pytest.mark.parametrize("argv, unbuffered, read", (
+        (["verify", "--trials", "2", "--n", "3"], False, 0), (["canary"], False, 0),
+        (["build", EXAMPLE], False, 0),
+        # as `cauchykit verify --trials 100 --n 8 | head -c 10`, with output well past a pipe's buffer
+        (["verify", "--trials", "100", "--n", "8"], True, 10),
+    ))
+    def test_closed_stdout_exits_quietly(self, argv, unbuffered, read):
+        # the reader closes stdout after `read` bytes. Block-buffered, the one write is main's flush
+        # after the handler returns; unbuffered, a print inside the handler meets the closed pipe
+        env = {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "cauchykit", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        if read:
+            assert os.read(proc.stdout.fileno(), read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (EXIT_PIPE, b"")
+
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(EXAMPLE)
@@ -456,6 +478,16 @@ class TestFlagsPerSubcommand:
     def test_read_flag_parses(self, name, flag):
         args = _build_parser().parse_args(command_argv(name, flag))
         assert args.command == name
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, read in FLAGS_READ.items() for flag in ("--seed", "--trials", "--n")
+        if flag in read
+    ])
+    def test_non_integer_value_reads_invalid_int(self, capsys, name, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, "x"])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: invalid int value: 'x'")
 
     def test_det_formats(self, capsys):
         # det reads --format json|text (text is a case of test_read_flag_parses)

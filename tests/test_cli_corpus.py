@@ -182,6 +182,9 @@ def corpus() -> dict:
                  ["verify", "--trials", "1001"], ["verify", "--trials", "1000000000"],
                  ["lemma-ab", "--trials", "1000", "--n", "1", "--format", "csv"], ["lemma-ab", "--trials", "1001"],
                  ["lemma-ab", "--trials", "1000000000"],
+                 # a non-integer value of each int flag: argparse names the type "int"
+                 ["verify", "--trials", "x"], ["verify", "--n", "x"], ["lemma-ab", "--trials", "x"],
+                 ["lemma-ab", "--n", "x"], ["gen", "--n", "x"], ["canary", "--n", "x"],
                  ["canary", "--format", "xml"], ["gen", "--n", "9"], ["det", SPECS["c2"], "--format", "csv"],
                  [], ["nosuch"], ["--format", "json"]):
         add(argv, names={SPECS["c2"]: "@c2"})

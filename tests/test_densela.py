@@ -59,6 +59,10 @@ class TestConstruction:
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]], RING)
         assert m.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
 
+    def test_repr(self):
+        assert repr(Matrix.from_rows([[1, "-1/2"], [3, 4]], RING)) == "Matrix(2x2: 1 -1/2; 3 4)"
+        assert repr(Matrix.from_rows([[100, 102]], F101)) == "Matrix(1x2: 100 1)"
+
 
 class TestMatMul:
     def test_hand_product(self):

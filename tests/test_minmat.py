@@ -50,6 +50,9 @@ class TestBuild:
         with pytest.raises(TypeError):
             MinSpec([0.5], [1])
 
+    def test_repr(self):
+        assert repr(MinSpec([Q(5, 2), -1], [2, 0])) == "MinSpec(xs=['5/2', '-1'], ys=['2', '0'])"
+
 
 class TestNormalize:
     def test_sorts(self):

@@ -145,6 +145,25 @@ class TestPrimeField:
         assert F101.parse("103") == FpElement(2, 101)
         assert F101.render(FpElement(2, 101)) == "2"
 
+    def test_pow_matches_repeated_product_and_inverse(self):
+        for v in (1, 2, 7, 100):
+            a = FpElement(v, 101)
+            assert a**0 == F101.one
+            product = F101.one
+            for k in range(1, 6):
+                product = product * a
+                assert a**k == product
+                assert a**-k == F101.inv(product)
+                assert a**-k * a**k == F101.one
+
+    def test_pow_of_zero(self):
+        zero = FpElement(0, 101)
+        assert zero**0 == F101.one
+        assert zero**3 == F101.zero
+        with pytest.raises(NotInvertibleError) as exc:
+            zero**-1
+        assert_names_zero(exc.value, 101)
+
     def test_division(self):
         a = FpElement(7, 101)
         assert (a / FpElement(2, 101)) * FpElement(2, 101) == a
