@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cauchy import CauchySpec, _ints, _sums, is_invertible_spec
-from .ring import CauchyKitError, NotInvertibleError, RationalRing
+from .ring import CauchyKitError, NotInvertibleError, RationalRing, _Record
 
 
 class ExactZeroPivotError(CauchyKitError):
@@ -71,15 +70,18 @@ class FloatMatrix:
         return _fsum(self.entries)
 
 
-@dataclass
-class CanaryReport:
+class CanaryReport(_Record):
     """Score card for one inversion method on one matrix size."""
 
-    n: int
-    method: str  # "closed_form" or "gauss_pp"
-    entry_sum_residual: float
-    identity_residual: float
-    elapsed: float
+    __match_args__ = ("n", "method", "entry_sum_residual", "identity_residual", "elapsed")
+
+    def __init__(self, n: int, method: str, entry_sum_residual: float, identity_residual: float,
+                 elapsed: float):
+        self.n = n
+        self.method = method  # "closed_form" or "gauss_pp"
+        self.entry_sum_residual = entry_sum_residual
+        self.identity_residual = identity_residual
+        self.elapsed = elapsed
 
     def csv_row(self) -> str:
         return (

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .densela import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
-                   Scalar, _inv_all_mod)
+                   Scalar, _Frozen, _inv_all_mod)
 
 
 class NonInvertiblePairSumError(CauchyKitError):
@@ -106,16 +105,18 @@ class CauchySpec:
         )
 
 
-@dataclass(frozen=True)
-class InvertibilityVerdict:
+class InvertibilityVerdict(_Frozen):
     """Outcome of the strong-distinctness test.
 
     ``witness`` names the first failing pair as (vector, i, j) with 0-based
     positions, e.g. ("x", 0, 1) when x[0] - x[1] is not invertible.
     """
 
-    invertible: bool
-    witness: Optional[tuple[str, int, int]] = None
+    __slots__ = __match_args__ = ("invertible", "witness")
+
+    def __init__(self, invertible: bool, witness: tuple[str, int, int] | None = None):
+        object.__setattr__(self, "invertible", invertible)
+        object.__setattr__(self, "witness", witness)
 
 
 def _ints(spec: CauchySpec) -> tuple[list, list, int, bool]:

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .ring import (
     CauchyKitError,
@@ -45,6 +44,7 @@ from .ring import (
     PrimeField,
     RingContext,
     Scalar,
+    _Frozen,
 )
 
 
@@ -341,7 +341,7 @@ def _berkowitz(rows: list[list]) -> list:
     return poly
 
 
-def _eliminate(a: Matrix, jordan: bool = False) -> tuple[Scalar, Optional[list]]:
+def _eliminate(a: Matrix, jordan: bool = False) -> tuple[Scalar, list | None]:
     """Gaussian elimination of the square ``a`` on raw integers, taking the
     first nonzero pivot in each column; a row swap flips the determinant's
     sign. Returns (det, inv): the determinant as a ring scalar and, with
@@ -428,12 +428,14 @@ def _eliminate(a: Matrix, jordan: bool = False) -> tuple[Scalar, Optional[list]]
     return det, inv
 
 
-@dataclass(frozen=True)
-class WeightVectors:
+class WeightVectors(_Frozen):
     """Weights (xs of length n, ys of length m) for the AB trace identity."""
 
-    xs: tuple
-    ys: tuple
+    __slots__ = __match_args__ = ("xs", "ys")
+
+    def __init__(self, xs: tuple, ys: tuple):
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
 
 def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scalar]:

@@ -19,8 +19,8 @@ is not used. Sorting needs a real order, so this module is rational-only.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .densela import Matrix
 from .ring import (

@@ -19,13 +19,16 @@ Scalars from different contexts never mix: arithmetic between a rational
 and a prime-field residue, or between residues modulo different primes,
 raises :class:`ContextMismatchError`. No floating point is used anywhere
 in this module.
+
+The package's record classes, the two ring contexts among them, are
+written out on one private base, :class:`_Record`, which gives field-wise
+``==`` and ``repr``, and its frozen subclass :class:`_Frozen`. No record is
+a dataclass, so an import of the package runs no code generation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 
 class CauchyKitError(Exception):
@@ -188,8 +191,53 @@ class FpElement:
         return str(self.value)
 
 
-class _Context:
+class _Record:
+    """A record whose fields are the names in ``__match_args__``, in order:
+    ``==`` holds between two records of one class with equal fields, and
+    ``repr`` shows the class and each field. A plain record is mutable and
+    unhashable; each subclass writes its own ``__init__``."""
+
+    __slots__ = ()
+    __match_args__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record that refuses assignment and deletion and hashes as its field
+    tuple. Its fields are slots, which ``__init__`` fills with
+    ``object.__setattr__``; copy and pickle rebuild it from the fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class _Context(_Frozen):
     """What both ring contexts define alike, in terms of their own ``coerce``."""
+
+    __slots__ = ()
 
     @property
     def zero(self):
@@ -206,10 +254,10 @@ class _Context:
         return self.coerce(a) != 0
 
 
-@dataclass(frozen=True)
 class RationalRing(_Context):
     """The field of arbitrary-precision rationals."""
 
+    __slots__ = ()
     kind = "rational"
     is_ordered = True
 
@@ -250,18 +298,17 @@ class RationalRing(_Context):
         return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
 class PrimeField(_Context):
     """The prime field F_p. ``p`` must be prime (checked at construction)."""
 
-    p: int = 101
-
+    __slots__ = __match_args__ = ("p",)
     kind = "prime_field"
     is_ordered = False
 
-    def __post_init__(self):
-        if not (self.p < _MR_BOUND and _is_prime(self.p)):
-            raise ValueError(f"prime field modulus must be a prime < {_MR_BOUND}, got {self.p}")
+    def __init__(self, p: int = 101):
+        if not (p < _MR_BOUND and _is_prime(p)):
+            raise ValueError(f"prime field modulus must be a prime < {_MR_BOUND}, got {p}")
+        object.__setattr__(self, "p", p)
 
     def coerce(self, v) -> FpElement:
         if isinstance(v, FpElement):
@@ -296,5 +343,5 @@ class PrimeField(_Context):
         raise UnorderedRingError(f"F_{self.p} has no ordering")
 
 
-RingContext = Union[RationalRing, PrimeField]
-Scalar = Union[Fraction, FpElement]
+RingContext = RationalRing | PrimeField
+Scalar = Fraction | FpElement

@@ -13,9 +13,7 @@ import json
 import random
 import re
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from . import cauchy, minmat
 from .densela import Matrix, WeightVectors, border_with_ones, lemma_ab_check, matrix_to_json
@@ -25,6 +23,7 @@ from .ring import (
     PrimeField,
     RationalRing,
     RingContext,
+    _Record,
 )
 
 
@@ -52,14 +51,17 @@ def _bounded_scalar_text(text: str) -> str:
     return text
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    lhs: str  # closed form
-    rhs: str  # oracle
-    passed: bool
-    spec_echo: dict
-    seed: Optional[int] = None
+class VerificationReport(_Record):
+    __match_args__ = ("identity", "lhs", "rhs", "passed", "spec_echo", "seed")
+
+    def __init__(self, identity: str, lhs: str, rhs: str, passed: bool, spec_echo: dict,
+                 seed: int | None = None):
+        self.identity = identity
+        self.lhs = lhs  # closed form
+        self.rhs = rhs  # oracle
+        self.passed = passed
+        self.spec_echo = spec_echo
+        self.seed = seed
 
     def to_json_dict(self) -> dict:
         """The fields as a JSON object, with ``passed`` under the key ``pass``."""
@@ -94,7 +96,7 @@ def ring_from_json(obj) -> RingContext:
     raise SpecFormatError(f'ring must be "rational" or {{"prime": p}}, got {reprlib.repr(obj)}')
 
 
-def spec_to_json(spec: Union[cauchy.CauchySpec, minmat.MinSpec]) -> dict:
+def spec_to_json(spec: cauchy.CauchySpec | minmat.MinSpec) -> dict:
     """The interchange JSON of a Cauchy or a min spec. Each scalar renders
     with str, which is what ``ctx.render`` gives for a ring scalar."""
     is_min = isinstance(spec, minmat.MinSpec)
