@@ -22,7 +22,10 @@ The determinant, the matrix, its inverse and any one inverse entry run on
 one integer kernel (:func:`_ints`): each parameter is lifted to its own
 integer pair, the differences and sums are cross-multiplied, and each
 result crosses back into the ring once, as one Fraction over Q or, over
-F_p, after one (batch) inversion of all its denominators. The whole
+F_p, after one (batch) inversion of all its denominators. The scalar
+bookkeeping works on the same pairs (:func:`_pairs`): the pair-sum check at
+construction and the invertibility verdict hash them, and the weight sum
+adds them over the lcm of their denominators into one scalar. The whole
 inverse builds its scales on the determinant's products, kept on the spec,
 and over F_p reads the entries of C off the spec's :func:`build` matrix
 while the caller holds it, so the n^2 pair sums are inverted once.
@@ -60,7 +63,8 @@ class CauchySpec:
     """Parameter vectors defining a Cauchy matrix over one ring context.
 
     Construction validates every pairwise sum up front, in O(n) since
-    x_i + y_j = 0 exactly when x_i = -y_j, and fails fast with the first
+    x_i + y_j = 0 exactly when x_i = -y_j, a lookup of each x's integer pair
+    among the negated pairs of the y's, and fails fast with the first
     offending (i, j) in row-major order rather than deep inside a product later.
     A spec is immutable after construction: :func:`det_closed` and
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
@@ -78,8 +82,10 @@ class CauchySpec:
             raise ValueError("need at least one parameter in each vector")
         if len(xs) != len(ys):
             raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
-        neg = {-y: j for j, y in reversed(tuple(enumerate(ys)))}  # x + y_j = 0 iff x = -y_j
-        for i, x in enumerate(xs):
+        p = ctx.p if isinstance(ctx, PrimeField) else 0
+        # x + y_j = 0 iff x = -y_j
+        neg = {(-r % p if p else -r, s): j for j, (r, s) in reversed(tuple(enumerate(_pairs(ys, p))))}
+        for i, x in enumerate(_pairs(xs, p)):
             if x in neg:
                 raise NonInvertiblePairSumError(i, neg[x])
         self.xs = xs
@@ -92,9 +98,14 @@ class CauchySpec:
         return len(self.xs)
 
     def weight_sum(self) -> Scalar:
-        """sum(x) + sum(y), the quantity the entry-sum identities revolve around."""
+        """sum(x) + sum(y), the quantity the entry-sum identities revolve around:
+        over Q one Fraction over the lcm of the 2n denominators, over F_p one
+        residue."""
         if self._weight is None:
-            self._weight = sum(self.xs + self.ys, self.ctx.zero)
+            xs, ys, p, _ = _ints(self)
+            d = math.lcm(*(q for _, q in xs + ys))
+            num = sum(a * (d // q) for a, q in xs + ys)
+            self._weight = FpElement(num, p) if p else Fraction(num, d)
         return self._weight
 
     def __repr__(self):
@@ -129,11 +140,16 @@ def _ints(spec: CauchySpec) -> tuple[list, list, int, bool]:
     x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j). Results cross back into the
     ring once each; a common denominator instead would grow with every
     coprime denominator."""
-    if isinstance(spec.ctx, PrimeField):
-        return [(x.value, 1) for x in spec.xs], [(y.value, 1) for y in spec.ys], spec.ctx.p, True
-    xs = [x.as_integer_ratio() for x in spec.xs]
-    ys = [y.as_integer_ratio() for y in spec.ys]
-    return xs, ys, 0, all(q == 1 for _, q in xs + ys)
+    p = spec.ctx.p if isinstance(spec.ctx, PrimeField) else 0
+    xs, ys = _pairs(spec.xs, p), _pairs(spec.ys, p)
+    return xs, ys, p, bool(p) or all(q == 1 for _, q in xs + ys)
+
+
+def _pairs(vec: Sequence, p: int) -> list:
+    """Each scalar of ``vec`` as its integer pair: (numerator, denominator) in
+    lowest terms over Q (p = 0), (residue, 1) over F_p. Two pairs are equal
+    exactly when the two scalars are."""
+    return [(v.value, 1) for v in vec] if p else [v.as_integer_ratio() for v in vec]
 
 
 def _prod(vs, p: int) -> int:
@@ -203,11 +219,13 @@ def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     matrix is invertible iff the x's are pairwise strongly distinct and the
     y's are pairwise strongly distinct (differences invertible). In a field
     a difference is invertible iff it is nonzero, so this is plain
-    distinctness, decided in O(n) by hashing; the witness is the first
-    repeat in lexicographic (name, i, j) order."""
+    distinctness, decided in O(n) by hashing the integer pairs of
+    :func:`_pairs`; the witness is the first repeat in lexicographic
+    (name, i, j) order."""
     if spec._verdict is None:
+        xs, ys, _, _ = _ints(spec)
         repeats = []
-        for name, vec in (("x", spec.xs), ("y", spec.ys)):
+        for name, vec in (("x", xs), ("y", ys)):
             first = {}
             for k, v in enumerate(vec):
                 i = first.setdefault(v, k)

@@ -24,7 +24,9 @@ lemma scale the whole matrix by the lcm D of all its denominators;
 :meth:`Matrix.adjugate_entry_sum` scale row i by the lcm r_i of its own
 denominators, R = diag(r_i), which keeps the lifted entries small when the
 denominators are coprime. A row scaling is not a similarity, so the
-characteristic polynomial keeps the whole-matrix lift.
+characteristic polynomial keeps the whole-matrix lift. Over F_p the lift
+is the residues, and Berkowitz and the Krylov vectors of
+:meth:`Matrix.adjugate_entry_sum` reduce each dot product mod p.
 
 Matrices are immutable. All indices are 0-based.
 """
@@ -196,20 +198,21 @@ class Matrix:
         """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
         by Berkowitz's algorithm: no division, valid for singular A."""
         self._require_square("charpoly")
-        a, r = _lift(self.to_rows(), self.ctx)
-        return [_lower(self.ctx, c, r[0] ** k) for k, c in enumerate(_berkowitz(a))]
+        a, r, p = _lift(self.to_rows(), self.ctx)
+        return [_lower(self.ctx, c, r[0] ** k) for k, c in enumerate(_berkowitz(a, p))]
 
-    def _row_lift(self, what: str) -> tuple[list[list], list, list]:
-        """(RA, r, the characteristic polynomial of RA) for the row lift R =
-        diag(r) of :func:`_lift`; ``what`` names the caller in a shape error."""
+    def _row_lift(self, what: str) -> tuple[list[list], list, list, int]:
+        """(RA, r, the characteristic polynomial of RA, p) for the row lift
+        R = diag(r) and modulus p of :func:`_lift`; ``what`` names the caller
+        in a shape error."""
         self._require_square(what)
-        a, r = _lift(self.to_rows(), self.ctx, by_row=True)
-        return a, r, _berkowitz(a)
+        a, r, p = _lift(self.to_rows(), self.ctx, by_row=True)
+        return a, r, _berkowitz(a, p), p
 
     def det_berkowitz(self) -> Scalar:
         """Determinant as (-1)^n c_n(RA) / det R on the row lift, a route
         that shares nothing with elimination."""
-        _, r, c = self._row_lift("det_berkowitz")
+        _, r, c, _ = self._row_lift("det_berkowitz")
         return _lower(self.ctx, (-1) ** self.rows * c[-1], math.prod(r))
 
     def adjugate(self) -> "Matrix":
@@ -218,7 +221,7 @@ class Matrix:
         and adj(A) = adj(RA) R / det R. For the 1x1 matrix this is [[1]].
         Satisfies A * adj(A) = adj(A) * A = det(A) * I in any commutative
         ring, singular A included."""
-        a, r, c = self._row_lift("adjugate")
+        a, r, c, _ = self._row_lift("adjugate")
         n = self.rows
         b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- RA B + c_k I
         for k in range(1, n):
@@ -233,13 +236,14 @@ class Matrix:
         """1^T adj(A) 1 = 1^T adj(RA) r / det R = (-1)^(n-1) sum_{k<n}
         c_(n-1-k) 1^T (RA)^k r / det R, from the characteristic polynomial of
         the row lift and its Krylov vectors (RA)^k r: O(n^3) past the O(n^4)
-        polynomial, with no adjugate built."""
-        a, r, c = self._row_lift("adjugate_entry_sum")
+        polynomial, with no adjugate built. Over F_p each Krylov vector is
+        reduced mod p."""
+        a, r, c, p = self._row_lift("adjugate_entry_sum")
         n = self.rows
         v, acc = r, 0  # v = (RA)^k r
         for k in range(n):
             acc += c[n - 1 - k] * sum(v)
-            v = [_dot(row, v) for row in a]
+            v = [_dot(row, v, p) for row in a]
         return _lower(self.ctx, (-1) ** (n - 1) * acc, math.prod(r))
 
     def inverse(self) -> "Matrix":
@@ -287,10 +291,12 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
     return acc
 
 
-def _dot(u, v):
+def _dot(u, v, p: int = 0):
     """sum u_i v_i over the shorter of the two, in any ring (or the integers),
-    added left to right from the int 0."""
-    return sum(map(operator.mul, u, v))
+    added left to right from the int 0; an integer sum is reduced mod p
+    unless p is 0."""
+    acc = sum(map(operator.mul, u, v))
+    return acc % p if p else acc
 
 
 def _matmul(a: list[list], b: list[list]) -> list[list]:
@@ -298,21 +304,21 @@ def _matmul(a: list[list], b: list[list]) -> list[list]:
     return [[_dot(ai, col) for col in cols] for ai in a]
 
 
-def _lift(rows: list[list], ctx: RingContext, by_row: bool = False) -> tuple[list[list], list]:
-    """The integer matrix R*A for the rows of A, and the diagonal r of its
-    scale R: over Q each r_i is the least common denominator of row i with
-    ``by_row``, else every r_i is the lcm D of all the entries' denominators;
-    over F_p the residues with R = I. Division-free work on the lift maps
-    back to A through the ring, since c_k(DA) = D^k c_k(A), det(RA) =
-    det R det A and adj(RA) = adj(A) adj(R) = det R adj(A) R^-1; integers
-    skip the gcd of every Fraction operation and the object of every
-    residue."""
+def _lift(rows: list[list], ctx: RingContext, by_row: bool = False) -> tuple[list[list], list, int]:
+    """The integer matrix R*A for the rows of A, the diagonal r of its scale
+    R and the modulus p: over Q (p = 0) each r_i is the least common
+    denominator of row i with ``by_row``, else every r_i is the lcm D of all
+    the entries' denominators; over F_p the residues with R = I.
+    Division-free work on the lift maps back to A through the ring, since
+    c_k(DA) = D^k c_k(A), det(RA) = det R det A and adj(RA) = adj(A) adj(R)
+    = det R adj(A) R^-1; integers skip the gcd of every Fraction operation
+    and the object of every residue."""
     if isinstance(ctx, PrimeField):
-        return [[e.value for e in row] for row in rows], [1] * len(rows)
+        return [[e.value for e in row] for row in rows], [1] * len(rows), ctx.p
     r = [math.lcm(*(e.denominator for e in row)) for row in rows]
     if not by_row:
         r = [math.lcm(*r)] * len(r)
-    return [[e.numerator * (ri // e.denominator) for e in row] for row, ri in zip(rows, r)], r
+    return [[e.numerator * (ri // e.denominator) for e in row] for row, ri in zip(rows, r)], r, 0
 
 
 def _lower(ctx: RingContext, v: int, scale: int) -> Scalar:
@@ -320,14 +326,15 @@ def _lower(ctx: RingContext, v: int, scale: int) -> Scalar:
     return Fraction(v, scale) if scale != 1 else ctx.coerce(v)
 
 
-def _berkowitz(rows: list[list]) -> list:
+def _berkowitz(rows: list[list], p: int) -> list:
     """Characteristic polynomial [1, c_1, ..., c_n] of the square integer
     ``rows`` by Berkowitz's algorithm (Inf. Process. Lett. 18, 1984): O(n^4)
     operations with no division and no pivoting. The polynomial of each
     leading (r+1) block is a lower-triangular Toeplitz matrix times that of
     the leading r block; the Toeplitz column is 1, -a, -R S, -R A S, ...,
     -R A^(r-1) S, where A is the leading r block, S the column above the
-    new diagonal entry a and R the row left of it."""
+    new diagonal entry a and R the row left of it. Unless p is 0, every dot
+    product is reduced mod p, so the integers stay below n p^2."""
     poly = [1]
     for r, row_r in enumerate(rows):
         lead = rows[:r]  # _dot reads only the first r entries of each row
@@ -335,9 +342,9 @@ def _berkowitz(rows: list[list]) -> list:
         v = [row[r] for row in lead]  # A^m S
         for m in range(r):
             if m:
-                v = [_dot(row, v) for row in lead]
-            toeplitz.append(-_dot(row_r, v))
-        poly = [_dot(toeplitz[k::-1], poly) for k in range(r + 2)]
+                v = [_dot(row, v, p) for row in lead]
+            toeplitz.append(-_dot(row_r, v, p))
+        poly = [_dot(toeplitz[k::-1], poly, p) for k in range(r + 2)]
     return poly
 
 
@@ -466,9 +473,9 @@ def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scal
         raise ShapeError(
             f"need {a.rows} x-weights and {a.cols} y-weights, got {len(xs)} and {len(ys)}"
         )
-    ia, (da, *_) = _lift(a.to_rows(), ctx)
-    ib, (db, *_) = _lift(b.to_rows(), ctx)
-    (ix, iy), (dw, _) = _lift([xs, ys], ctx)
+    ia, (da, *_), _ = _lift(a.to_rows(), ctx)
+    ib, (db, *_), _ = _lift(b.to_rows(), ctx)
+    (ix, iy), (dw, _), _ = _lift([xs, ys], ctx)
     ia_cols, ib_cols = list(zip(*ia)), list(zip(*ib))  # ib_cols[i][j] = B[j, i]
     lhs = sum((x + y) * u * v for x, ra, cb in zip(ix, ia, ib_cols) for y, u, v in zip(iy, ra, cb))
     rhs = _dot(ix, map(_dot, ia, ib_cols)) + _dot(iy, map(_dot, ib, ia_cols))

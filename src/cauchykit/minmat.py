@@ -14,6 +14,14 @@ The last term of the second difference is pinned to index (k-1, k-1) and
 validated against the elimination determinant on large random corpora; a
 sometimes-quoted variant with index (k-1, k+1) is undefined at k = n-1 and
 is not used. Sorting needs a real order, so this module is rational-only.
+
+The closed forms compare and subtract integer pairs (numerator,
+denominator), never Fractions: the sort key is exact (:func:`_order`), the
+order checks cross-multiply, and each determinant factor is worked out over
+the lcm of its own four parameters' denominators, so the determinant is one
+Fraction of two integer products. Nothing is lifted over a whole-spec
+denominator, which would grow with every coprime denominator. :func:`build`,
+the oracle's input, keeps plain Fraction ``min``.
 """
 
 from __future__ import annotations
@@ -86,13 +94,32 @@ def _coerce_rational(v) -> Fraction:
     return _RATIONAL.coerce(v)
 
 
+def _order(v: Fraction) -> tuple:
+    """An exact sort key for v = a/q: the floor, the correctly rounded float of
+    the remainder, which rounding keeps in order, and v itself for float ties."""
+    a, q = v.as_integer_ratio()
+    return a // q, a % q / q, v
+
+
+def _ratios(spec: MinSpec) -> tuple[list, list]:
+    """The integer pairs (numerator, positive denominator) of x and of y."""
+    return [x.as_integer_ratio() for x in spec.xs], [y.as_integer_ratio() for y in spec.ys]
+
+
+def _above(u: tuple, v: tuple) -> bool:
+    """u > v for the integer pairs (numerator, positive denominator) u and v."""
+    return u[0] * v[1] > v[0] * u[1]
+
+
 def _check_order(spec: MinSpec, cross: str = "") -> None:
-    """Both vectors ascending and, when ``cross`` names what needs it, x[0] <= y[0]."""
-    for name, vec in (("x", spec.xs), ("y", spec.ys)):
+    """Both vectors ascending and, when ``cross`` names what needs it, x[0] <= y[0];
+    decided on the integer pairs of the parameters."""
+    xs, ys = _ratios(spec)
+    for name, vec in (("x", xs), ("y", ys)):
         for k in range(1, len(vec)):
-            if vec[k - 1] > vec[k]:
+            if _above(vec[k - 1], vec[k]):
                 raise UnsortedInputError(f"{name} vector is not ascending at position {k}")
-    if cross and spec.xs[0] > spec.ys[0]:
+    if cross and _above(xs[0], ys[0]):
         raise UnsortedInputError(f"{cross} x[0] <= y[0]; use normalize()")
 
 
@@ -115,9 +142,9 @@ def normalize(spec: MinSpec) -> SortedMinSpec:
     |det|, det-zero), or is defined on the sorted spec itself. The result is
     kept on ``spec``: every call on it returns the same SortedMinSpec."""
     if spec._sorted is None:
-        xs = tuple(sorted(spec.xs))
-        ys = tuple(sorted(spec.ys))
-        swapped = xs[0] > ys[0]
+        xs = tuple(sorted(spec.xs, key=_order))
+        ys = tuple(sorted(spec.ys, key=_order))
+        swapped = _above(xs[0].as_integer_ratio(), ys[0].as_integer_ratio())
         if swapped:
             xs, ys = ys, xs
         spec._sorted = SortedMinSpec(xs, ys, swapped)
@@ -151,22 +178,30 @@ def inverse_column_sums(spec: SortedMinSpec) -> tuple[Fraction, ...]:
     return (Fraction(1) / spec.xs[0],) + (Fraction(0),) * (spec.n - 1)
 
 
-def _factors(spec: MinSpec) -> list[Fraction]:
-    """f[0][0] then the mixed second differences, k = 1..n-1, kept on the spec."""
+def _factors(spec: MinSpec) -> list[tuple[int, int]]:
+    """f[0][0] then the mixed second differences, k = 1..n-1, kept on the spec.
+    Each is an integer pair (numerator, d): factor k is lifted over the lcm d
+    of the denominators of x[k-1], x[k], y[k-1] and y[k] alone."""
     if spec._factors is None:
-        xs, ys = spec.xs, spec.ys
-        spec._factors = [min(xs[0], ys[0])] + [
-            min(xs[k], ys[k]) - min(xs[k], ys[k - 1]) - min(xs[k - 1], ys[k]) + min(xs[k - 1], ys[k - 1])
-            for k in range(1, spec.n)
-        ]
+        xs, ys = _ratios(spec)
+        (a, q), (r, s) = xs[0], ys[0]
+        d = math.lcm(q, s)
+        factors = [(min(a * (d // q), r * (d // s)), d)]
+        for (a0, q0), (a1, q1), (r0, s0), (r1, s1) in zip(xs, xs[1:], ys, ys[1:]):
+            d = math.lcm(q0, q1, s0, s1)
+            x0, x1, y0, y1 = a0 * (d // q0), a1 * (d // q1), r0 * (d // s0), r1 * (d // s1)
+            factors.append((min(x1, y1) - min(x1, y0) - min(x0, y1) + min(x0, y0), d))
+        spec._factors = factors
     return spec._factors
 
 
 def det_closed(spec: MinSpec) -> Fraction:
     """Closed-form determinant for x ascending and y ascending (the x/y swap
-    of normalize() is not needed here). Product of :func:`_factors`."""
+    of normalize() is not needed here). Product of :func:`_factors`, as one
+    Fraction."""
     _require_sorted(spec)
-    return math.prod(_factors(spec), start=Fraction(1))
+    factors = _factors(spec)
+    return Fraction(math.prod(f for f, _ in factors), math.prod(d for _, d in factors))
 
 
 def det_zero_predicate(spec: MinSpec) -> bool:
@@ -175,4 +210,4 @@ def det_zero_predicate(spec: MinSpec) -> bool:
     insufficiently balanced (say, three y's between consecutive x's) make a
     factor collapse."""
     _require_sorted(spec)
-    return any(f == 0 for f in _factors(spec))
+    return any(f == 0 for f, _ in _factors(spec))

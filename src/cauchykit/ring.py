@@ -299,15 +299,15 @@ class RationalRing(_Context):
 
 
 class PrimeField(_Context):
-    """The prime field F_p. ``p`` must be prime (checked at construction)."""
+    """The prime field F_p. ``p`` must be an ``int`` and prime (checked at construction)."""
 
     __slots__ = __match_args__ = ("p",)
     kind = "prime_field"
     is_ordered = False
 
     def __init__(self, p: int = 101):
-        if not (p < _MR_BOUND and _is_prime(p)):
-            raise ValueError(f"prime field modulus must be a prime < {_MR_BOUND}, got {p}")
+        if not (isinstance(p, int) and p < _MR_BOUND and _is_prime(p)):
+            raise ValueError(f"prime field modulus must be a prime < {_MR_BOUND}, got {p!r}")
         object.__setattr__(self, "p", p)
 
     def coerce(self, v) -> FpElement:

@@ -5,8 +5,6 @@ fails here. Names every exception inherits from ``Exception`` (``args``,
 ``with_traceback`` and, from Python 3.11, ``add_note``) are left out, so the
 pins do not depend on the Python version."""
 
-import dataclasses
-
 import pytest
 
 import cauchykit
@@ -39,12 +37,8 @@ PUBLIC = {
 
 
 def public_names(cls):
-    """``dir(cls)`` without underscore names, plus the fields of a dataclass,
-    which ``dir`` misses when they have no default."""
-    names = {a for a in dir(cls) if not a.startswith("_")} - EXCEPTION
-    if dataclasses.is_dataclass(cls):
-        names |= {f.name for f in dataclasses.fields(cls)}
-    return sorted(names)
+    """``dir(cls)`` without underscore names."""
+    return sorted({a for a in dir(cls) if not a.startswith("_")} - EXCEPTION)
 
 
 def test_all_is_pinned():

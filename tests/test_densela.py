@@ -224,6 +224,16 @@ class TestBerkowitz:
             assert adj == minors_adjugate(a)
             assert a.adjugate_entry_sum() == adj.entry_sum()
 
+    def test_large_prime_field_at_n32(self):
+        # the residues are reduced mod p at each dot product; the result must not move
+        field = PrimeField(2**61 - 1)
+        rng = random.Random(67)
+        a = Matrix(32, 32, [field.coerce(rng.randrange(field.p)) for _ in range(32 * 32)], field)
+        det = a.det_fast()
+        assert det != 0 and a.det_berkowitz() == det
+        assert a.charpoly()[-1] == det and a.charpoly()[1] == -a.trace()
+        assert a.adjugate_entry_sum() == det * a.inverse().entry_sum()
+
     def test_large_entries_keep_their_scale(self):
         # distinct large denominators: the integer lift's scale is their lcm
         a = Matrix.from_rows([["1/1000003", "2/7"], ["-5/999983", "3/11"]], RING)

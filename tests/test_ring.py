@@ -113,6 +113,11 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(100)
 
+    @pytest.mark.parametrize("p", [7.0, "7"], ids=("float", "str"))
+    def test_non_integer_modulus_rejected(self, p):
+        with pytest.raises(ValueError, match="prime field modulus"):
+            PrimeField(p)
+
     def test_large_prime_modulus_is_prompt(self):
         assert PrimeField(2**61 - 1).inv(2) * 2 == 1
 
