@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .densela import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
-                   Scalar, _Frozen, _inv_all_mod)
+                   Scalar, _Frozen, _inv_all_mod, _wrap)
 
 
 class NonInvertiblePairSumError(CauchyKitError):
@@ -186,14 +186,12 @@ def _keep(spec: CauchySpec, xs: list, ys: list, p: int, unit: bool, sums: list) 
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
     xs, ys, p, unit = _ints(spec)
-    sums = _sums(xs, ys, unit)
-    if p:
-        entries = [FpElement(v, p) for v in _inv_all_mod([v for row in sums for v in row], p)]
-    else:
-        entries = [Fraction(q * s, v) for (_, q), row in zip(xs, sums) for (_, s), v in zip(ys, row)]
-    m = Matrix._of(spec.n, spec.n, entries, spec.ctx)
-    if p:
-        spec._built = weakref.ref(m)
+    n, sums = spec.n, _sums(xs, ys, unit)
+    if not p:
+        return Matrix._of(n, n, [Fraction(q * s, v) for (_, q), row in zip(xs, sums)
+                                 for (_, s), v in zip(ys, row)], spec.ctx)
+    m = Matrix._of(n, n, _wrap(_inv_all_mod([v for row in sums for v in row], p), p), spec.ctx)
+    spec._built = weakref.ref(m)
     return m
 
 
@@ -303,8 +301,8 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
         cols = [vals[i::n] for i in range(n)]  # column i of C
         inv = _inv_all_mod(dx + [_prod(col, p) * e for col, e in zip(cols, dy)], p)
         a = [na * d % p for na, d in zip(rows, inv)]
-        entries = [FpElement(bi * aj * c, p)
-                   for bi, col in zip(inv[n:], cols) for aj, c in zip(a, col)]
+        entries = _wrap([bi * aj * c % p
+                         for bi, col in zip(inv[n:], cols) for aj, c in zip(a, col)], p)
     else:
         cols = list(zip(*sums))
         entries = [Fraction(na * nb, da * db * v)

@@ -15,7 +15,9 @@ result crosses back into the ring once. It lifts nothing. The kernel is
 written apart from the closed forms' integer kernel in
 :mod:`cauchykit.cauchy`, from the batch inversion in :mod:`cauchykit.ring`
 and from the Berkowitz lift here, and it never calls the ring's ``inv``, so
-the oracle does not share the arithmetic it checks.
+the oracle does not share the arithmetic it checks. For the same reason
+every FpElement this module makes goes through the public class call,
+never the closed forms' bulk wrap (``ring._wrap``).
 
 The division-free routes work on an integer lift (:func:`_lift`) and lower
 each result through the ring once. :meth:`Matrix.charpoly` and the AB trace
@@ -25,7 +27,8 @@ lemma scale the whole matrix by the lcm D of all its denominators;
 denominators, R = diag(r_i), which keeps the lifted entries small when the
 denominators are coprime. A row scaling is not a similarity, so the
 characteristic polynomial keeps the whole-matrix lift. Over F_p the lift
-is the residues, and Berkowitz and the Krylov vectors of
+is the residues, and Berkowitz, the Horner products of
+:meth:`Matrix.adjugate` and the Krylov vectors of
 :meth:`Matrix.adjugate_entry_sum` reduce each dot product mod p.
 
 Matrices are immutable. All indices are 0-based.
@@ -220,14 +223,15 @@ class Matrix:
         ((RA)^(n-1) + c_1 (RA)^(n-2) + ... + c_(n-1) I), evaluated by Horner,
         and adj(A) = adj(RA) R / det R. For the 1x1 matrix this is [[1]].
         Satisfies A * adj(A) = adj(A) * A = det(A) * I in any commutative
-        ring, singular A included."""
-        a, r, c, _ = self._row_lift("adjugate")
+        ring, singular A included. Over F_p each Horner step is reduced mod p,
+        so the entries stay below p instead of growing with n."""
+        a, r, c, p = self._row_lift("adjugate")
         n = self.rows
         b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- RA B + c_k I
         for k in range(1, n):
-            b = _matmul(a, b)
+            b = _matmul(a, b, p)
             for i in range(n):
-                b[i][i] += c[k]
+                b[i][i] = (b[i][i] + c[k]) % p if p else b[i][i] + c[k]
         sign, scale = (-1) ** (n - 1), math.prod(r)
         entries = [_lower(self.ctx, sign * e * rj, scale) for row in b for e, rj in zip(row, r)]
         return Matrix._of(n, n, entries, self.ctx)
@@ -299,9 +303,10 @@ def _dot(u, v, p: int = 0):
     return acc % p if p else acc
 
 
-def _matmul(a: list[list], b: list[list]) -> list[list]:
+def _matmul(a: list[list], b: list[list], p: int = 0) -> list[list]:
+    """The product of ``a`` and ``b``, each entry reduced mod p unless p is 0."""
     cols = list(zip(*b))
-    return [[_dot(ai, col) for col in cols] for ai in a]
+    return [[_dot(ai, col, p) for col in cols] for ai in a]
 
 
 def _lift(rows: list[list], ctx: RingContext, by_row: bool = False) -> tuple[list[list], list, int]:

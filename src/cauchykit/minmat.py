@@ -77,7 +77,8 @@ class SortedMinSpec(MinSpec):
 
     ``swapped`` records whether :func:`normalize` exchanged the roles of the
     two vectors to make x[0] the overall minimum. Immutable like every spec,
-    it keeps ``_sorted`` and ``_factors`` too; its order is checked once, here.
+    it keeps ``_sorted`` and ``_factors`` too. Its order is checked once, here;
+    :func:`normalize` builds its result by sorting, past this constructor.
     """
 
     __slots__ = ("swapped",)
@@ -147,7 +148,9 @@ def normalize(spec: MinSpec) -> SortedMinSpec:
         swapped = _above(xs[0].as_integer_ratio(), ys[0].as_integer_ratio())
         if swapped:
             xs, ys = ys, xs
-        spec._sorted = SortedMinSpec(xs, ys, swapped)
+        # the public constructor would coerce these and check their order again
+        s = spec._sorted = object.__new__(SortedMinSpec)
+        s.xs, s.ys, s.swapped, s._sorted, s._factors = xs, ys, swapped, None, None
     return spec._sorted
 
 

@@ -15,6 +15,13 @@ Every inversion in F_p, whether by ``PrimeField.inv``, by ``/`` either way
 round or by the batch :func:`_inv_all_mod`, goes through one helper,
 :func:`_inverse`, which raises :class:`NotInvertibleError` on zero.
 
+An :class:`FpElement` always holds a residue in [0, p); the class call
+reduces its argument to one. Only three callers skip that call:
+:func:`cauchykit.cauchy.build`, :func:`cauchykit.cauchy.inverse_closed`
+and :meth:`PrimeField.inv_all` make their elements in one pass through
+:func:`_wrap`, which reduces nothing, so each reduces its residues mod p
+first. The oracle layer, :mod:`cauchykit.densela`, keeps the class call.
+
 Scalars from different contexts never mix: arithmetic between a rational
 and a prime-field residue, or between residues modulo different primes,
 raises :class:`ContextMismatchError`. No floating point is used anywhere
@@ -29,6 +36,7 @@ a dataclass, so an import of the package runs no code generation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 
 class CauchyKitError(Exception):
@@ -107,6 +115,17 @@ def _inv_all_mod(vs: list, p: int) -> list:
     return out
 
 
+def _wrap(residues: list, p: int) -> list:
+    """An :class:`FpElement` for each residue, which must already lie in
+    [0, p), with no class call per entry: the bulk path of the closed forms
+    and of :meth:`PrimeField.inv_all`, in the idiom of ``Matrix._of``."""
+    out = list(map(object.__new__, repeat(FpElement, len(residues))))
+    for e, v in zip(out, residues):
+        e.value = v
+        e.p = p
+    return out
+
+
 def _binary(op):
     """An :class:`FpElement` operator that applies ``op(a, b, p)`` to the
     residue ``a`` of self and the residue ``b`` of the lifted operand. An
@@ -124,6 +143,10 @@ def _binary(op):
 
 class FpElement:
     """A residue modulo the prime ``p``. Immutable value object.
+
+    ``value`` lies in [0, p): the constructor reduces it. :func:`_wrap` makes
+    elements past the constructor for the F_p closed forms and
+    :meth:`PrimeField.inv_all`, which keep that invariant themselves.
 
     Arithmetic with plain ``int`` lifts the integer into the field. A
     ``Fraction``, ``float`` or ``complex`` operand, or a residue modulo
@@ -336,8 +359,7 @@ class PrimeField(_Context):
     def inv_all(self, values) -> list:
         """The inverses of ``values`` with one modular inversion (see
         :func:`_inv_all_mod`). A zero anywhere raises NotInvertibleError, as inv does."""
-        p = self.p
-        return [FpElement(v, p) for v in _inv_all_mod([self.coerce(a).value for a in values], p)]
+        return _wrap(_inv_all_mod([self.coerce(a).value for a in values], self.p), self.p)
 
     def cmp(self, a, b) -> int:
         raise UnorderedRingError(f"F_{self.p} has no ordering")

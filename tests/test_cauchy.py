@@ -26,7 +26,7 @@ from cauchykit.cauchy import (
     is_invertible_spec,
 )
 from cauchykit.densela import Matrix, border_with_ones
-from cauchykit.ring import NotInvertibleError, PrimeField, RationalRing
+from cauchykit.ring import FpElement, NotInvertibleError, PrimeField, RationalRing
 from cauchykit.verify import spec_to_json
 
 RING = RationalRing()
@@ -533,6 +533,42 @@ class TestPerSpecMemo:
         gc.collect()
         assert ref() is None
         assert inverse_closed(spec) == oracle
+
+
+def assert_wrapped(entries, p):
+    """Each entry is an FpElement mod p holding a residue in [0, p), equal to
+    and hashing as the one the public class call makes."""
+    for e in entries:
+        assert type(e) is FpElement and e.p == p and 0 <= e.value < p
+        assert e == FpElement(e.value, p) and hash(e) == hash(FpElement(e.value, p))
+
+
+class TestBulkWrap:
+    """build, inverse_closed and PrimeField.inv_all make their FpElements in
+    one bulk pass (ring._wrap), past the class call that reduces a residue."""
+
+    @pytest.mark.parametrize("p", (101, 2**31 - 1, 2**61 - 1))
+    @pytest.mark.parametrize("source", ("no-matrix", "live-matrix", "dropped-matrix"))
+    def test_entries_are_reduced_residues(self, p, source):
+        ctx, rng = PrimeField(p), random.Random(59)
+        for n in (1, 3, 8, 17):
+            spec = rand_spec(rng, ctx, n, invertible=True)
+            m = build(spec)
+            assert_wrapped(m.entries, p)
+            if source == "dropped-matrix":
+                del m
+                gc.collect()
+            inv = inverse_closed(spec if source != "no-matrix" else CauchySpec(spec.xs, spec.ys, ctx))
+            assert_wrapped(inv.entries, p)
+            assert inv == build(CauchySpec(spec.xs, spec.ys, ctx)).inverse()
+            values = [rng.randrange(1, p) + p * rng.randrange(3) for _ in range(n)]  # unreduced
+            assert_wrapped(ctx.inv_all(values), p)
+            assert ctx.inv_all(values) == [ctx.inv(v) for v in values]
+
+    def test_inverse_at_n64_matches_the_oracle(self):
+        ctx = PrimeField(2**31 - 1)
+        spec = rand_spec(random.Random(61), ctx, 64, invertible=True)
+        assert inverse_closed(spec) == build(CauchySpec(spec.xs, spec.ys, ctx)).inverse()
 
 
 def first_zero_pair_sum(xs, ys, ctx):

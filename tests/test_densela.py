@@ -172,6 +172,18 @@ class TestAdjugate:
             assert a * adj == det_i
             assert adj * a == det_i
 
+    def test_reduced_horner_over_a_large_prime(self):
+        p, n = 2**61 - 1, 24
+        ctx, rng = PrimeField(p), random.Random(67)
+        a = Matrix(n, n, [rng.randrange(p) for _ in range(n * n)], ctx)
+        adj = a.adjugate()
+        det = a.det_fast()
+        assert a * adj == Matrix(n, n, [det if i == j else 0 for i in range(n) for j in range(n)], ctx)
+        # the unreduced route: the same residues as integers over Q, reduced at the end
+        unreduced = Matrix(n, n, [e.value for e in a.entries], RING).adjugate()
+        assert all(e.denominator == 1 for e in unreduced.entries)
+        assert adj.entries == tuple(FpElement(e.numerator, p) for e in unreduced.entries)
+
 
 def minors_adjugate(a):
     """Adjugate entry by entry: (-1)^(i+j) times the cofactor determinant of

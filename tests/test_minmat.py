@@ -79,6 +79,23 @@ class TestNormalize:
         with pytest.raises(UnsortedInputError):
             SortedMinSpec([3, 4], [1, 2])  # x[0] > y[0], needs the swap
 
+    def test_private_result_equals_the_public_constructor(self):
+        rng = random.Random(113)
+        for _ in range(50):
+            spec = rand_spec(rng, rng.randint(1, 6))
+            s = normalize(spec)
+            public = SortedMinSpec(s.xs, s.ys, s.swapped)
+            assert type(s) is SortedMinSpec
+            for name in ("xs", "ys", "swapped", "_sorted", "_factors"):
+                assert getattr(s, name) == getattr(public, name), name
+            assert all(type(v) is Q for v in s.xs + s.ys)
+            if s.xs[0] != s.xs[-1]:
+                with pytest.raises(UnsortedInputError):
+                    SortedMinSpec(s.xs[::-1], s.ys, s.swapped)
+            if s.xs[0] != s.ys[0]:
+                with pytest.raises(UnsortedInputError):
+                    SortedMinSpec(s.ys, s.xs)
+
     def test_determinant_magnitude_preserved(self):
         rng = random.Random(107)
         for _ in range(50):
