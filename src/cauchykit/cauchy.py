@@ -28,7 +28,11 @@ construction and the invertibility verdict hash them, and the weight sum
 adds them over the lcm of their denominators into one scalar. The whole
 inverse builds its scales on the determinant's products, kept on the spec,
 and over F_p reads the entries of C off the spec's :func:`build` matrix
-while the caller holds it, so the n^2 pair sums are inverted once.
+while the caller holds it, so the n^2 pair sums are inverted once. Over
+F_p that inversion is one sweep grouped by rows, which yields the
+reciprocals and the row products A_j = prod_k (x_j + y_k) together; the
+spec keeps the n products, so after :func:`build` the determinant forms
+no pair sums and multiplies out no row.
 
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
@@ -44,7 +48,7 @@ from fractions import Fraction
 
 from .densela import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
-                   Scalar, _Frozen, _inv_all_mod, _wrap)
+                   Scalar, _Frozen, _inv_all_mod, _inv_rows_mod, _wrap)
 
 
 class NonInvertiblePairSumError(CauchyKitError):
@@ -70,10 +74,12 @@ class CauchySpec:
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
     and so does :meth:`weight_sum` (``_weight``); ``_kept`` is :func:`_keep`'s.
     Over F_p, ``_built`` is a weak reference to the matrix :func:`build` last
-    returned, so the spec keeps no matrix alive.
+    returned, so the spec keeps no matrix alive, and ``_rows`` holds the n
+    row products A_j = prod_k (x_j + y_k) of the last batch inversion of the
+    pair sums, by :func:`build` or :func:`inverse_closed`.
     """
 
-    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept", "_built")
+    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept", "_built", "_rows")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -91,7 +97,7 @@ class CauchySpec:
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
-        self._det = self._verdict = self._weight = self._kept = self._built = None
+        self._det = self._verdict = self._weight = self._kept = self._built = self._rows = None
 
     @property
     def n(self) -> int:
@@ -174,12 +180,13 @@ def _uppers(us: list, unit: bool, p: int) -> list:
     return [_prod([a * t - c * q for c, t in us[k + 1:]], p) for k, (a, q) in enumerate(us)]
 
 
-def _keep(spec: CauchySpec, xs: list, ys: list, p: int, unit: bool, sums: list) -> tuple:
+def _keep(spec: CauchySpec, xs: list, ys: list, p: int, unit: bool, sums=None) -> tuple:
     """Keep on the spec, and return, the determinant's O(n) products: the
-    row products A_j = prod(sums[j]) and each vector's upper halves. The
-    first of det_closed and inverse_closed fills them; racing threads
-    compute equal ones."""
-    spec._kept = ([_prod(row, p) for row in sums], _uppers(xs, unit, p), _uppers(ys, unit, p))
+    row products A_j = prod(sums[j]), the batch inversion's ``_rows`` when
+    one has run, and each vector's upper halves. The first of det_closed
+    and inverse_closed fills them; racing threads compute equal ones."""
+    rows = spec._rows or [_prod(row, p) for row in sums or _sums(xs, ys, unit)]
+    spec._kept = (rows, _uppers(xs, unit, p), _uppers(ys, unit, p))
     return spec._kept
 
 
@@ -190,7 +197,8 @@ def build(spec: CauchySpec) -> Matrix:
     if not p:
         return Matrix._of(n, n, [Fraction(q * s, v) for (_, q), row in zip(xs, sums)
                                  for (_, s), v in zip(ys, row)], spec.ctx)
-    m = Matrix._of(n, n, _wrap(_inv_all_mod([v for row in sums for v in row], p), p), spec.ctx)
+    vals, spec._rows = _inv_rows_mod(sums, p)
+    m = Matrix._of(n, n, _wrap(vals, p), spec.ctx)
     spec._built = weakref.ref(m)
     return m
 
@@ -200,11 +208,13 @@ def det_closed(spec: CauchySpec) -> Scalar:
 
         prod_{i<j} (x_i - x_j)(y_i - y_j)  /  prod_{i,j} (x_i + y_j).
 
-    Empty products are 1, so n = 1 gives 1/(x_1 + y_1).
+    Empty products are 1, so n = 1 gives 1/(x_1 + y_1). Over F_p the
+    denominator's row products are the ones the last batch inversion of
+    the pair sums kept on the spec, if any ran.
     """
     if spec._det is None:
         xs, ys, p, unit = _ints(spec)
-        rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, _sums(xs, ys, unit))
+        rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit)
         # the denominators cancel down to prod(q) prod(s) on top
         num = _prod(ux + uy + [q for _, q in xs + ys], p)
         den = _prod(rows, p)
@@ -283,21 +293,22 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     column products and E the D of y, so inv[i, j] = a_j b_i C[j][i]. A and
     the upper halves are :func:`_keep`'s. Over Q each entry is one Fraction.
     Over F_p the entries of C are the :func:`build` matrix's while the
-    caller holds it, else one batch inversion of the n^2 pair sums; then
-    b_i = 1 / (E_i prod_k C[k][i]), and one batch inversion covers these
-    and the D."""
+    caller holds it, else one grouped batch inversion of the n^2 pair sums,
+    which also yields A; then b_i = 1 / (E_i prod_k C[k][i]), and one batch
+    inversion covers these and the D."""
     _require_invertible(spec)
     xs, ys, p, unit = _ints(spec)
-    n, kept = spec.n, spec._kept
+    n, sums = spec.n, None
     m = spec._built() if spec._built is not None else None
-    sums = None if m is not None and kept else _sums(xs, ys, unit)
-    rows, ux, uy = kept or _keep(spec, xs, ys, p, unit, sums)
+    if m is not None:
+        vals = [e.value for e in m.entries]
+    elif p:
+        vals, spec._rows = _inv_rows_mod(_sums(xs, ys, unit), p)
+    else:
+        sums = _sums(xs, ys, unit)
+    rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, sums)
     dx, dy = _scale_dens(xs, ux, unit, p), _scale_dens(ys, uy, unit, p)
     if p:
-        if m is not None:
-            vals = [e.value for e in m.entries]
-        else:
-            vals = _inv_all_mod([v for row in sums for v in row], p)
         cols = [vals[i::n] for i in range(n)]  # column i of C
         inv = _inv_all_mod(dx + [_prod(col, p) * e for col, e in zip(cols, dy)], p)
         a = [na * d % p for na, d in zip(rows, inv)]

@@ -30,6 +30,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .cauchy import _pairs
 from .densela import Matrix
 from .ring import (
     CauchyKitError,
@@ -102,11 +103,6 @@ def _order(v: Fraction) -> tuple:
     return a // q, a % q / q, v
 
 
-def _ratios(spec: MinSpec) -> tuple[list, list]:
-    """The integer pairs (numerator, positive denominator) of x and of y."""
-    return [x.as_integer_ratio() for x in spec.xs], [y.as_integer_ratio() for y in spec.ys]
-
-
 def _above(u: tuple, v: tuple) -> bool:
     """u > v for the integer pairs (numerator, positive denominator) u and v."""
     return u[0] * v[1] > v[0] * u[1]
@@ -115,7 +111,7 @@ def _above(u: tuple, v: tuple) -> bool:
 def _check_order(spec: MinSpec, cross: str = "") -> None:
     """Both vectors ascending and, when ``cross`` names what needs it, x[0] <= y[0];
     decided on the integer pairs of the parameters."""
-    xs, ys = _ratios(spec)
+    xs, ys = _pairs(spec.xs, 0), _pairs(spec.ys, 0)
     for name, vec in (("x", xs), ("y", ys)):
         for k in range(1, len(vec)):
             if _above(vec[k - 1], vec[k]):
@@ -186,7 +182,7 @@ def _factors(spec: MinSpec) -> list[tuple[int, int]]:
     Each is an integer pair (numerator, d): factor k is lifted over the lcm d
     of the denominators of x[k-1], x[k], y[k-1] and y[k] alone."""
     if spec._factors is None:
-        xs, ys = _ratios(spec)
+        xs, ys = _pairs(spec.xs, 0), _pairs(spec.ys, 0)
         (a, q), (r, s) = xs[0], ys[0]
         d = math.lcm(q, s)
         factors = [(min(a * (d // q), r * (d // s)), d)]

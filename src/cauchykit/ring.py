@@ -12,8 +12,12 @@ comparison. Addition, subtraction, multiplication and negation go through
 the ordinary Python operators on the scalars themselves.
 
 Every inversion in F_p, whether by ``PrimeField.inv``, by ``/`` either way
-round or by the batch :func:`_inv_all_mod`, goes through one helper,
-:func:`_inverse`, which raises :class:`NotInvertibleError` on zero.
+round or by the batch :func:`_inv_rows_mod`, goes through one helper,
+:func:`_inverse`, which raises :class:`NotInvertibleError` on zero. The
+batch is one Montgomery sweep grouped by rows: it yields the reciprocals
+and, at no extra cost, each row's product, which the Cauchy closed forms
+keep as the row products of the pair sums. :func:`_inv_all_mod` is its
+one-row case.
 
 An :class:`FpElement` always holds a residue in [0, p); the class call
 reduces its argument to one. Only three callers skip that call:
@@ -99,20 +103,37 @@ def _inverse(v: int, p: int) -> int:
     return pow(v, -1, p)
 
 
+def _inv_rows_mod(rows: list, p: int) -> tuple[list, list]:
+    """The inverses mod the prime ``p`` of the integers in ``rows``, as
+    residues in row-major order, and each row's product mod p, with one
+    modular inversion (Montgomery's trick, Math. Comp. 48, 1987). Each row's
+    prefix products end on that row's product, so the products cost nothing
+    extra; the row products are inverted together, and each row is then
+    swept back from its own. A multiple of p anywhere raises NotInvertibleError."""
+    out, prods, tops, acc = [], [], [], 1
+    for row in rows:
+        tops.append(acc)  # the product of the earlier rows' products
+        r = 1
+        for v in row:
+            out.append(r)  # the row's prefix product before v, replaced below
+            r = r * v % p
+        prods.append(r)
+        acc = acc * r % p
+    acc = _inverse(acc, p)  # 1/(P_0 ... P_j) at the top of each row below
+    ks = reversed(range(len(out)))  # one index stream, shared by the rows
+    for row, top, r in zip(reversed(rows), reversed(tops), reversed(prods)):
+        inv = acc * top % p  # 1/P_j, then 1/(v_0 ... v_k) for each v_k in turn
+        acc = acc * r % p
+        for v, k in zip(reversed(row), ks):  # the row first: zip stops on it before taking a k
+            out[k] = inv * out[k] % p
+            inv = inv * v % p
+    return out, prods
+
+
 def _inv_all_mod(vs: list, p: int) -> list:
-    """The inverses mod the prime ``p`` of the integers ``vs``, as residues,
-    with one modular inversion (Montgomery's trick, Math. Comp. 48, 1987):
-    prefix products, one ``pow``, then a backward sweep that empties ``vs``
-    as the result fills. A multiple of p anywhere raises NotInvertibleError."""
-    out, acc = [], 1
-    for v in vs:
-        out.append(acc)  # the prefix product v_0 ... v_{k-1}, replaced below
-        acc = acc * v % p
-    acc = _inverse(acc, p)  # 1/(v_0 ... v_k) at the top of each step below
-    for k in range(len(vs) - 1, -1, -1):
-        out[k] = acc * out[k] % p
-        acc = acc * vs.pop() % p
-    return out
+    """The inverses mod the prime ``p`` of the integers ``vs``, as residues:
+    :func:`_inv_rows_mod` on one row."""
+    return _inv_rows_mod([vs], p)[0]
 
 
 def _wrap(residues: list, p: int) -> list:

@@ -535,6 +535,90 @@ class TestPerSpecMemo:
         assert inverse_closed(spec) == oracle
 
 
+class TestOnePassOverThePairSums:
+    """Over F_p the grouped batch inversion yields the row products of the
+    pair sums, and the spec keeps them: after build, det_closed and
+    inverse_closed form no pair sums and multiply out no row."""
+
+    P31 = PrimeField(2**31 - 1)
+
+    def count(self, monkeypatch):
+        """Count the pair-sum tables formed, the grouped sweeps run and the
+        rows of a pair-sum table multiplied out one by one."""
+        counts = {"sums": 0, "sweeps": 0, "row_prods": 0}
+        tables = []
+        pair_sums, sweep, prod = cauchy._sums, cauchy._inv_rows_mod, cauchy._prod
+
+        def counting_sums(*args):
+            counts["sums"] += 1
+            tables.append(pair_sums(*args))
+            return tables[-1]
+
+        def counting_sweep(rows, p):
+            counts["sweeps"] += 1
+            return sweep(rows, p)
+
+        def counting_prod(vs, p):
+            counts["row_prods"] += any(vs is row for table in tables for row in table)
+            return prod(vs, p)
+
+        monkeypatch.setattr(cauchy, "_sums", counting_sums)
+        monkeypatch.setattr(cauchy, "_inv_rows_mod", counting_sweep)
+        monkeypatch.setattr(cauchy, "_prod", counting_prod)
+        return counts
+
+    # steps, then (pair-sum tables, grouped sweeps, rows multiplied out)
+    ORDERS = {
+        "build-det-inverse": (("build", "det", "inverse"), (1, 1, 0)),
+        "build-inverse-det": (("build", "inverse", "det"), (1, 1, 0)),
+        "det-first": (("det", "build", "inverse"), (2, 1, 16)),
+        "inverse-first": (("inverse", "build", "det"), (2, 2, 0)),
+        "dropped-matrix": (("build", "drop", "det", "inverse"), (2, 2, 0)),
+    }
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_each_order_forms_what_it_needs_once(self, monkeypatch, order):
+        steps, want = self.ORDERS[order]
+        spec = rand_spec(random.Random(59), self.P31, 16, invertible=True)
+        oracle = build(CauchySpec(spec.xs, spec.ys, self.P31))
+        det, inv = oracle.det_fast(), oracle.inverse()
+        counts = self.count(monkeypatch)
+        held, got = None, {}
+        for step in steps:
+            if step == "build":
+                held = build(spec)
+            elif step == "drop":
+                ref = weakref.ref(held)
+                del held
+                gc.collect()
+                assert ref() is None
+            elif step == "det":
+                got["det"] = det_closed(spec)
+            else:
+                got["inverse"] = inverse_closed(spec)
+        assert (counts["sums"], counts["sweeps"], counts["row_prods"]) == want
+        assert got == {"det": det, "inverse": inv}
+        assert spec._rows == spec._kept[0] and len(spec._rows) == 16
+
+    def test_battery_forms_the_pair_sums_and_row_products_once(self, monkeypatch):
+        counts = self.count(monkeypatch)
+        spec = rand_spec(random.Random(61), self.P31, 24, invertible=True)
+        m = build(spec)
+        det_closed(spec)
+        inverse_closed(spec)
+        assert counts["sums"] == 1
+        assert counts["sweeps"] + counts["row_prods"] // spec.n == 1
+        assert det_closed(spec) == m.det_fast()
+        assert inverse_closed(spec) == m.inverse()
+
+    def test_rational_spec_keeps_no_row_slot(self):
+        spec = rand_spec(random.Random(67), RING, 6, invertible=True)
+        m = build(spec)
+        assert det_closed(spec) == m.det_fast()
+        assert inverse_closed(spec) == m.inverse()
+        assert spec._rows is None
+
+
 def assert_wrapped(entries, p):
     """Each entry is an FpElement mod p holding a residue in [0, p), equal to
     and hashing as the one the public class call makes."""

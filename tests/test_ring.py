@@ -14,6 +14,7 @@ from cauchykit.ring import (
     RationalRing,
     UnorderedRingError,
     _inv_all_mod,
+    _inv_rows_mod,
     _is_prime,
 )
 
@@ -219,6 +220,56 @@ class TestInvAll:
         with pytest.raises(NotInvertibleError) as exc:
             _inv_all_mod([1, 2 * 101, 3], 101)
         assert_names_zero(exc.value, 101)
+
+
+PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
+
+
+class TestInvRows:
+    """The grouped sweep: every inverse against pow(v, -1, p), every row
+    product against math.prod(row) % p."""
+
+    @staticmethod
+    def check(rows, p):
+        inv, prods = _inv_rows_mod([list(row) for row in rows], p)
+        assert inv == [pow(v, -1, p) for row in rows for v in row]
+        assert prods == [math.prod(row) % p for row in rows]
+        assert all(0 <= v < p for v in inv + prods)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rows_of_unequal_length(self, p):
+        rng = random.Random(p)
+        for lengths in ((1,), (1, 1, 1), (3, 1, 4, 1, 5), (7, 2), (1, 9, 1)):
+            # unreduced and negative integers prime to p, as the pair sums are
+            rows = [[rng.randrange(1, p) + p * rng.randint(-2, 2) for _ in range(k)]
+                    for k in lengths]
+            self.check(rows, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_square_rows(self, p):
+        rng = random.Random(p + 1)
+        for n in (1, 2, 8, 24):
+            self.check([[rng.randrange(1, p) for _ in range(n)] for _ in range(n)], p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_empty(self, p):
+        assert _inv_rows_mod([], p) == ([], [])
+        assert _inv_rows_mod([[]], p) == ([], [1])
+        self.check([[], [p - 1], []], p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("where", ((0, 0), (1, 0), (1, 2), (3, 0)))
+    def test_multiple_of_p_in_any_row_raises(self, p, where):
+        rows = [[1], [1, 1, 1], [1, 1], [1]]
+        rows[where[0]][where[1]] = 3 * p
+        with pytest.raises(NotInvertibleError) as exc:
+            _inv_rows_mod(rows, p)
+        assert_names_zero(exc.value, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_flat_helper_is_the_one_row_case(self, p):
+        vs = [random.Random(p + 2).randrange(1, p) for _ in range(6)]
+        assert _inv_all_mod(list(vs), p) == _inv_rows_mod([list(vs)], p)[0]
 
 
 class TestContextMixing:
