@@ -121,11 +121,11 @@ def float_image(spec: CauchySpec) -> FloatMatrix:
     """The float image of the Cauchy matrix: entry (i, j) is the correctly
     rounded int quotient q_i s_j / sums[i][j] of the integer kernel. Raises
     ValueError if an entry is past the float range."""
-    xs, ys, p, unit = _ints(spec)
+    xs, ys, p = _ints(spec)
     if p:
         raise CauchyKitError("only rational matrices have a float image")
     return FloatMatrix(spec.n, spec.n, [
-        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys, unit)) for (_, s), v in zip(ys, row)])
+        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys, p)) for (_, s), v in zip(ys, row)])
 
 
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:

@@ -22,7 +22,9 @@ The determinant, the matrix, its inverse and any one inverse entry run on
 one integer kernel (:func:`_ints`): each parameter is lifted to its own
 integer pair, the differences and sums are cross-multiplied, and each
 result crosses back into the ring once, as one Fraction over Q or, over
-F_p, after one (batch) inversion of all its denominators. The scalar
+F_p, after one (batch) inversion of all its denominators. The kernel has
+one route per ring: every rational spec, integer-valued ones included,
+takes the pair route, and only F_p drops the denominators of 1. The scalar
 bookkeeping works on the same pairs (:func:`_pairs`): the pair-sum check at
 construction and the invertibility verdict hash them, and the weight sum
 adds them over the lcm of their denominators into one scalar. The whole
@@ -108,7 +110,7 @@ class CauchySpec:
         over Q one Fraction over the lcm of the 2n denominators, over F_p one
         residue."""
         if self._weight is None:
-            xs, ys, p, _ = _ints(self)
+            xs, ys, p = _ints(self)
             d = math.lcm(*(q for _, q in xs + ys))
             num = sum(a * (d // q) for a, q in xs + ys)
             self._weight = FpElement(num, p) if p else Fraction(num, d)
@@ -136,19 +138,19 @@ class InvertibilityVerdict(_Frozen):
         object.__setattr__(self, "witness", witness)
 
 
-def _ints(spec: CauchySpec) -> tuple[list, list, int, bool]:
+def _ints(spec: CauchySpec) -> tuple[list, list, int]:
     """The integer kernel's view of a spec: each parameter as its own pair
-    (numerator, denominator), (residue, 1) over F_p, the modulus p, 0
-    over Q, and whether every denominator is 1 (then the kernel skips its
-    multiplications by 1). With x_i = a_i/q_i and y_j = r_j/s_j,
-    differences and sums are cross-multiplied:
+    (numerator, denominator), (residue, 1) over F_p, and the modulus p, 0
+    over Q. The kernel forks only on the ring: over F_p every denominator
+    is 1 and it skips its multiplications by 1. With x_i = a_i/q_i and
+    y_j = r_j/s_j, differences and sums are cross-multiplied:
     x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
     x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j). Results cross back into the
     ring once each; a common denominator instead would grow with every
     coprime denominator."""
     p = spec.ctx.p if isinstance(spec.ctx, PrimeField) else 0
     xs, ys = _pairs(spec.xs, p), _pairs(spec.ys, p)
-    return xs, ys, p, bool(p) or all(q == 1 for _, q in xs + ys)
+    return xs, ys, p
 
 
 def _pairs(vec: Sequence, p: int) -> list:
@@ -164,36 +166,36 @@ def _prod(vs, p: int) -> int:
     return acc % p if p else acc
 
 
-def _sums(xs: list, ys: list, unit: bool) -> list[list]:
+def _sums(xs: list, ys: list, p: int) -> list[list]:
     """sums[i][j], the numerator of x_i + y_j over q_i s_j."""
-    if unit:
+    if p:
         rs = [r for r, _ in ys]
         return [[a + r for r in rs] for a, _ in xs]
     return [[a * s + r * q for r, s in ys] for a, q in xs]
 
 
-def _uppers(us: list, unit: bool, p: int) -> list:
+def _uppers(us: list, p: int) -> list:
     """The upper halves U_k = prod_{m > k} (a_k q_m - a_m q_k), reduced mod p
     unless p is 0; on the reversed vector, the lower halves (m < k) reversed."""
-    if unit:
+    if p:
         return [_prod([a - c for c, _ in us[k + 1:]], p) for k, (a, _) in enumerate(us)]
     return [_prod([a * t - c * q for c, t in us[k + 1:]], p) for k, (a, q) in enumerate(us)]
 
 
-def _keep(spec: CauchySpec, xs: list, ys: list, p: int, unit: bool, sums=None) -> tuple:
+def _keep(spec: CauchySpec, xs: list, ys: list, p: int) -> tuple:
     """Keep on the spec, and return, the determinant's O(n) products: the
     row products A_j = prod(sums[j]), the batch inversion's ``_rows`` when
     one has run, and each vector's upper halves. The first of det_closed
     and inverse_closed fills them; racing threads compute equal ones."""
-    rows = spec._rows or [_prod(row, p) for row in sums or _sums(xs, ys, unit)]
-    spec._kept = (rows, _uppers(xs, unit, p), _uppers(ys, unit, p))
+    rows = spec._rows or [_prod(row, p) for row in _sums(xs, ys, p)]
+    spec._kept = (rows, _uppers(xs, p), _uppers(ys, p))
     return spec._kept
 
 
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
-    xs, ys, p, unit = _ints(spec)
-    n, sums = spec.n, _sums(xs, ys, unit)
+    xs, ys, p = _ints(spec)
+    n, sums = spec.n, _sums(xs, ys, p)
     if not p:
         return Matrix._of(n, n, [Fraction(q * s, v) for (_, q), row in zip(xs, sums)
                                  for (_, s), v in zip(ys, row)], spec.ctx)
@@ -213,8 +215,8 @@ def det_closed(spec: CauchySpec) -> Scalar:
     the pair sums kept on the spec, if any ran.
     """
     if spec._det is None:
-        xs, ys, p, unit = _ints(spec)
-        rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit)
+        xs, ys, p = _ints(spec)
+        rows, ux, uy = spec._kept or _keep(spec, xs, ys, p)
         # the denominators cancel down to prod(q) prod(s) on top
         num = _prod(ux + uy + [q for _, q in xs + ys], p)
         den = _prod(rows, p)
@@ -231,7 +233,7 @@ def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     :func:`_pairs`; the witness is the first repeat in lexicographic
     (name, i, j) order."""
     if spec._verdict is None:
-        xs, ys, _, _ = _ints(spec)
+        xs, ys, _ = _ints(spec)
         repeats = []
         for name, vec in (("x", xs), ("y", ys)):
             first = {}
@@ -271,19 +273,19 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    xs, ys, p, unit = _ints(spec)
+    xs, ys, p = _ints(spec)
     x, y = xs[j], ys[i]
     (a, q), (r, s) = x, y
-    row, col = _sums([x], ys, unit)[0], _sums([y], xs, unit)[0]
+    row, col = _sums([x], ys, p)[0], _sums([y], xs, p)[0]
     num = _prod(row + col, p)
     den = _prod([a * t - c * q for c, t in xs[:j] + xs[j + 1:]]
                 + [r * t - c * s for c, t in ys[:i] + ys[i + 1:]] + [q, s, row[i]], p)
     return spec.ctx.inv(den) * num if p else Fraction(num, den)
 
 
-def _scale_dens(us: list, uppers: list, unit: bool, p: int) -> list:
+def _scale_dens(us: list, uppers: list, p: int) -> list:
     """The scale denominators D_k = q_k U_k L_k, U and L the upper and lower halves."""
-    lowers = _uppers(us[::-1], unit, p)[::-1]
+    lowers = _uppers(us[::-1], p)[::-1]
     return [_prod([q, up, lo], p) for (_, q), up, lo in zip(us, uppers, lowers)]
 
 
@@ -297,17 +299,15 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     which also yields A; then b_i = 1 / (E_i prod_k C[k][i]), and one batch
     inversion covers these and the D."""
     _require_invertible(spec)
-    xs, ys, p, unit = _ints(spec)
-    n, sums = spec.n, None
+    xs, ys, p = _ints(spec)
+    n = spec.n
     m = spec._built() if spec._built is not None else None
     if m is not None:
         vals = [e.value for e in m.entries]
     elif p:
-        vals, spec._rows = _inv_rows_mod(_sums(xs, ys, unit), p)
-    else:
-        sums = _sums(xs, ys, unit)
-    rows, ux, uy = spec._kept or _keep(spec, xs, ys, p, unit, sums)
-    dx, dy = _scale_dens(xs, ux, unit, p), _scale_dens(ys, uy, unit, p)
+        vals, spec._rows = _inv_rows_mod(_sums(xs, ys, p), p)
+    rows, ux, uy = spec._kept or _keep(spec, xs, ys, p)
+    dx, dy = _scale_dens(xs, ux, p), _scale_dens(ys, uy, p)
     if p:
         cols = [vals[i::n] for i in range(n)]  # column i of C
         inv = _inv_all_mod(dx + [_prod(col, p) * e for col, e in zip(cols, dy)], p)
@@ -315,7 +315,7 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
         entries = _wrap([bi * aj * c % p
                          for bi, col in zip(inv[n:], cols) for aj, c in zip(a, col)], p)
     else:
-        cols = list(zip(*sums))
+        cols = list(zip(*_sums(xs, ys, p)))
         entries = [Fraction(na * nb, da * db * v)
                    for nb, db, col in zip(map(math.prod, cols), dy, cols)
                    for na, da, v in zip(rows, dx, col)]

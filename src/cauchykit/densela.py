@@ -4,10 +4,11 @@ This is the oracle layer: deliberately brute-force code that the closed
 forms elsewhere in the package are tested against. Determinants come in
 three independent routes: Gaussian elimination over the field, Berkowitz's
 division-free characteristic polynomial, and first-row cofactor expansion
-(n <= 8). Verify checks determinants by elimination and adjugates by the
-characteristic polynomial; the tests hold all three routes together. The
-inverse is Gauss-Jordan elimination on [A | I]; the adjugate, by
-Cayley-Hamilton on the characteristic polynomial, shares no code with it.
+(n <= 8). Verify checks determinants and the invertibility criterion by
+elimination and adjugates by the characteristic polynomial; the tests hold
+all three routes together. The inverse is Gauss-Jordan elimination on
+[A | I]; the adjugate, by Cayley-Hamilton on the characteristic
+polynomial, shares no code with it.
 
 Elimination runs on raw integers (:func:`_eliminate`): over Q each entry is
 its own pair (numerator, denominator), over F_p a plain residue, and each

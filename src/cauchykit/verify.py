@@ -258,34 +258,35 @@ def _gauss_jordan(m: Matrix) -> Matrix:
     return m
 
 
-# identity -> (closed form, oracle, render). An oracle reads the spec and its
-# matrix. Ring scalars render with str, which is what ctx.render gives for
-# them. The lambdas look module functions up at call time, so a module
-# attribute replaced later (say, by a tracing wrapper) is the one that runs.
+# identity -> (closed form, oracle, render). An oracle reads only the matrix,
+# so it shares no code with the closed form it checks. Ring scalars render
+# with str, which is what ctx.render gives for them. The lambdas look module
+# functions up at call time, so a module attribute replaced later (say, by a
+# tracing wrapper) is the one that runs.
 IDENTITIES = {
-    "cauchy_det": (lambda s: cauchy.det_closed(s), lambda s, m: m.det_fast(), str),
+    "cauchy_det": (lambda s: cauchy.det_closed(s), lambda m: m.det_fast(), str),
     "inverse_entry_sum": (
-        lambda s: cauchy.inverse_entry_sum(s), lambda s, m: m.inverse().entry_sum(), str
+        lambda s: cauchy.inverse_entry_sum(s), lambda m: m.inverse().entry_sum(), str
     ),
-    "inverse_entrywise": (lambda s: cauchy.inverse_closed(s), lambda s, m: m.inverse(), render_matrix),
+    "inverse_entrywise": (lambda s: cauchy.inverse_closed(s), lambda m: m.inverse(), render_matrix),
     "adjugate_entry_sum": (
-        lambda s: cauchy.adjugate_entry_sum_closed(s), lambda s, m: m.adjugate_entry_sum(), str
+        lambda s: cauchy.adjugate_entry_sum_closed(s), lambda m: m.adjugate_entry_sum(), str
     ),
     "bordered_det": (
-        lambda s: cauchy.bordered_det_closed(s), lambda s, m: border_with_ones(m).det_fast(), str
+        lambda s: cauchy.bordered_det_closed(s), lambda m: border_with_ones(m).det_fast(), str
     ),
     "invertibility_criterion": (
         lambda s: cauchy.is_invertible_spec(s).invertible,
-        lambda s, m: s.ctx.is_invertible(cauchy.det_closed(s)),
+        lambda m: m.ctx.is_invertible(m.det_fast()),
         json.dumps,
     ),
-    "min_det": (lambda s: minmat.det_closed(s), lambda s, m: m.det_fast(), str),
+    "min_det": (lambda s: minmat.det_closed(s), lambda m: m.det_fast(), str),
     "min_inverse_entry_sum": (
-        lambda s: minmat.inverse_entry_sum(s), lambda s, m: m.inverse().entry_sum(), str
+        lambda s: minmat.inverse_entry_sum(s), lambda m: m.inverse().entry_sum(), str
     ),
     "min_inverse_column_sums": (
         lambda s: minmat.inverse_column_sums(s),
-        lambda s, m: tuple(map(m.inverse().column_sum, range(s.n))),
+        lambda m: tuple(map(m.inverse().column_sum, range(m.cols))),
         lambda vs: json.dumps([str(v) for v in vs], separators=(",", ":")),
     ),
 }
@@ -294,12 +295,12 @@ IDENTITIES = {
 def check_identity(identity: str, spec, seed=None, matrix=None) -> VerificationReport:
     """Check one identity of :data:`IDENTITIES` on a Cauchy or min spec: the
     closed form is evaluated first, so its precondition errors come first.
-    The oracle reads the spec's matrix: ``matrix``, or one built here."""
+    The oracle reads only the spec's matrix: ``matrix``, or one built here."""
     closed, oracle, render = IDENTITIES[identity]
     lhs = render(closed(spec))
     if matrix is None:
         matrix = build_matrix(spec)
-    return _report(identity, lhs, render(oracle(spec, matrix)), spec_to_json(spec), seed)
+    return _report(identity, lhs, render(oracle(matrix)), spec_to_json(spec), seed)
 
 
 def check_border_general(a: Matrix, seed=None) -> VerificationReport:
