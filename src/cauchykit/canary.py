@@ -187,19 +187,24 @@ def invert_closed_float(spec: CauchySpec) -> FloatMatrix:
 
 
 def identity_residual(c: FloatMatrix, c_inv: FloatMatrix) -> float:
-    """Max-norm of C * C_inv - I, entry by entry: each entry of the product
-    is the fsum of its rounded products, compared with I and dropped, so no
-    product matrix is formed. Raises ValueError on a shape mismatch or a
-    non-finite entry of the product."""
+    """Max-norm of C * C_inv - I, row by row: each entry of the product is
+    the fsum of its rounded products, the diagonal's 1.0 is taken off, and
+    the row is dropped once its largest deviation is kept, so no product
+    matrix is formed. Raises ValueError on a shape mismatch or a non-finite
+    entry of the product."""
     if c.cols != c_inv.rows:
         raise ValueError("shape mismatch")
     cols = [c_inv.entries[k :: c_inv.cols] for k in range(c_inv.cols)]
     worst = 0.0
-    for i in range(c.rows):
-        row = c.entries[i * c.cols : (i + 1) * c.cols]
-        for j, col in enumerate(cols):
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(_fsum(map(operator.mul, row, col)) - target))
+    try:
+        for i in range(c.rows):
+            row = c.entries[i * c.cols : (i + 1) * c.cols]
+            out = [math.fsum(map(operator.mul, row, col)) for col in cols]
+            if i < len(out):
+                out[i] -= 1.0
+            worst = max(worst, *map(abs, out))  # left to right, as one max per entry was
+    except OverflowError as exc:
+        raise ValueError(f"a sum is past the float range: {exc}") from exc
     if not math.isfinite(worst):
         raise ValueError(f"non-finite entry {worst!r} in C * C_inv")
     return worst

@@ -112,8 +112,47 @@ def _load_spec(args, kind: str | None = None, prepare=None):
     return spec if prepare is None else prepare(spec)
 
 
+_CONTAINERS = (list, tuple, dict)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, at the
+    speed of json's C encoder, which json itself skips when given an indent.
+
+    A list, tuple or dict whose members are all strings, numbers, booleans
+    or None is laid out by one call of a C encoder made for its depth: its
+    item separator is "," plus that depth's newline and indent, and its keys
+    are sorted. Any other container is walked here, member by member, and a
+    walked container object met again at the same depth reuses its text. The
+    encoders and that memo live for one call. A key that is not a string is
+    written by the C encoder, as json writes it. Without the ``_json``
+    accelerator this is plain ``json.dumps``."""
+    make = json.encoder.c_make_encoder
+    if make is None or not isinstance(obj, _CONTAINERS):
+        return json.dumps(obj, indent=2, sort_keys=True)
+    esc, default, encoders, memo = json.encoder.encode_basestring_ascii, json.JSONEncoder().default, [], {}
+
+    def lay(o, depth):  # the text of the container o, whose members sit depth levels in
+        while len(encoders) <= depth:
+            sep = ",\n" + "  " * len(encoders)
+            encoders.append((sep, make(None, default, esc, None, ": ", sep, True, False, True)))
+        sep, enc = encoders[depth]
+        is_dict = isinstance(o, dict)
+        if _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
+            text = "".join(enc(o, 0))
+            return text[0] + sep[1:] + text[1:-1] + sep[1:-2] + text[-1] if o else text
+        key = id(o), depth
+        if key not in memo:  # walked: each member after its key, a non-empty container laid out below
+            items = sorted(o.items()) if is_dict else [(None, v) for v in o]
+            memo[key] = "[{"[is_dict] + sep[1:] + sep.join([
+                ((esc(k) if type(k) is str else "".join(enc({k: 0}, 0))[1:-4]) + ": " if is_dict else "")
+                + (lay(v, depth + 1) if isinstance(v, _CONTAINERS) and v
+                   else esc(v) if type(v) is str else "".join(enc(v, 0)))
+                for k, v in items]) + sep[1:-2] + "]}"[is_dict]
+        return memo[key]
+
+    return lay(obj, 1)
 
 
 def _emit_reports(reports, fmt: str, envelope: dict | None = None) -> int:

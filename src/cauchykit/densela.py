@@ -271,10 +271,10 @@ class Matrix:
         return self._inv
 
     def entry_sum(self) -> Scalar:
-        return sum(self.entries, self.ctx.zero)
+        return _sum(self.entries, self.ctx)
 
     def column_sum(self, j: int) -> Scalar:
-        return sum(self.column(j), self.ctx.zero)
+        return _sum(self.column(j), self.ctx)
 
     def trace(self) -> Scalar:
         self._require_square("trace")
@@ -294,6 +294,16 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
         term = a * _det_expand(sub, ctx)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def _sum(vs, ctx: RingContext) -> Scalar:
+    """``sum(vs, ctx.zero)`` for the scalars ``vs`` in one step: over Q the
+    numerators brought over the lcm of the denominators and one Fraction,
+    over F_p the residues added and one FpElement."""
+    if isinstance(ctx, PrimeField):
+        return FpElement(sum(v.value for v in vs), ctx.p)
+    d = math.lcm(*(v.denominator for v in vs))
+    return Fraction(sum(v.numerator * (d // v.denominator) for v in vs), d)
 
 
 def _dot(u, v, p: int = 0):
@@ -510,5 +520,5 @@ def matrix_to_json(a: Matrix) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[a.ctx.render(e) for e in a.row(i)] for i in range(a.rows)],
+        "entries": [list(map(str, a.row(i))) for i in range(a.rows)],  # str of a ring scalar is its render
     }

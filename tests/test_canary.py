@@ -169,6 +169,14 @@ def test_identity_residual_of_perfect_inverse():
     assert identity_residual(eye, eye) == 0.0
 
 
+def test_identity_residual_of_a_tall_product():
+    # C * C_inv is 3 x 2 here: rows past the second have no diagonal entry to take 1.0 from
+    c = FloatMatrix.from_rows([[1.0], [0.5], [-3.0]])
+    assert identity_residual(c, FloatMatrix(1, 2, [1.0, 0.25])) == 3.0
+    assert identity_residual(c, FloatMatrix(1, 2, [1.0, 0.0])) == 3.0
+    assert identity_residual(FloatMatrix(2, 1, [1.0, 0.0]), FloatMatrix(1, 2, [1.0, 0.0])) == 1.0
+
+
 def test_identity_residual_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         identity_residual(FloatMatrix(2, 3, [1.0] * 6), FloatMatrix(2, 2, [1.0] * 4))

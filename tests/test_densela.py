@@ -465,6 +465,37 @@ class TestSums:
             Matrix.from_rows([[1, 2, 3]], RING).trace()
 
 
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+def sum_cases():
+    """Matrices with zeros, negative entries and coprime denominators up to 2**61 - 1, in both rings."""
+    rng = random.Random(2)
+    dens = [1, 2, 3, 5, 7, 2**31 - 1, M61]  # 1 and primes: pairwise coprime
+    q = [Matrix(3, 4, [Q(rng.choice([0, 0, 1, -1]) * rng.randint(0, 2**64), rng.choice(dens))
+                       for _ in range(12)], RING) for _ in range(20)]
+    fp = [Matrix(3, 4, [rng.choice([0, 1, M61 - 1, rng.randrange(M61)]) for _ in range(12)], PrimeField(M61))
+          for _ in range(20)]
+    return q + fp + [Matrix(2, 2, [0] * 4, RING), Matrix(1, 1, [-5], F101), Matrix(1, 3, ["-1/2", "1/3", "1/6"], RING)]
+
+
+class TestOneStepSums:
+    """entry_sum and column_sum add in one step what sum(..., ctx.zero) adds one scalar at a time."""
+
+    @pytest.mark.parametrize("m", sum_cases())
+    def test_entry_sum_is_the_ring_sum(self, m):
+        want = sum(m.entries, m.ctx.zero)
+        assert m.entry_sum() == want
+        assert type(m.entry_sum()) is type(want)
+
+    @pytest.mark.parametrize("m", sum_cases())
+    def test_column_sums_are_the_ring_sums(self, m):
+        for j in range(m.cols):
+            want = sum(m.column(j), m.ctx.zero)
+            assert m.column_sum(j) == want
+            assert m.ctx.render(m.column_sum(j)) == m.ctx.render(want)
+
+
 class TestLemmaAb:
     def test_hand_value(self):
         a = Matrix.from_rows([[1, 2], [3, 4]], RING)
@@ -652,3 +683,16 @@ class TestJson:
     def test_form(self):
         m = Matrix.from_rows([["1/2", 3]], RING)
         assert matrix_to_json(m) == {"rows": 1, "cols": 2, "entries": [["1/2", "3"]]}
+
+    @pytest.mark.parametrize("m", sum_cases())
+    def test_entries_are_the_ring_renders(self, m):
+        rows = [[m.ctx.render(e) for e in m.row(i)] for i in range(m.rows)]
+        assert matrix_to_json(m) == {"rows": m.rows, "cols": m.cols, "entries": rows}
+
+    @pytest.mark.parametrize("ctx", RINGS)
+    def test_derived_matrices_render_as_before(self, ctx):
+        rng = random.Random(5)
+        a = rand_matrix(rng, ctx, 4, 4)
+        for m in (a, a * a, a.adjugate(), a.transpose(), border_with_ones(a), Matrix.identity(3, ctx)):
+            want = [[ctx.render(e) for e in m.row(i)] for i in range(m.rows)]
+            assert matrix_to_json(m)["entries"] == want

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cauchykit import cauchy, densela, minmat
+from cauchykit import cauchy, densela, minmat, verify
 from cauchykit.densela import Matrix
 from cauchykit.ring import PrimeField, RationalRing
 from cauchykit.verify import (
@@ -196,3 +196,25 @@ class TestOneBuildPerSpec:
         # no matrix is eliminated twice, whether for its determinant or its inverse
         matrices = [args[0] for args, _ in eliminations]
         assert len({id(m) for m in matrices}) == len(matrices)
+
+
+class TestOneEchoPerSpec:
+    @pytest.mark.parametrize("seed", (2, 3, 5, 9, 21))
+    def test_reports_of_one_spec_share_its_echo(self, monkeypatch, seed):
+        echoes = []
+        monkeypatch.setattr(verify, "spec_to_json", lambda spec: echoes.append(spec_to_json(spec)) or echoes[-1])
+        reports = run_suite(seed=seed, trials=2, n_max=6)
+        by_name = {}
+        for r in reports:
+            by_name.setdefault(r.identity, []).append(r.spec_echo)
+        for t in range(2):  # trial 0 has a probe with a forced repeat (n >= 2), trial 1 probes the spec
+            cauchy_echo = by_name["cauchy_det"][t]
+            for name in ("inverse_entry_sum", "inverse_entrywise", "bordered_det"):
+                assert by_name[name][t] is cauchy_echo
+            assert by_name["invertibility_criterion"][t] is by_name["adjugate_entry_sum"][t]
+            assert (by_name["adjugate_entry_sum"][t] is cauchy_echo) == (t == 1 or len(cauchy_echo["xs"]) == 1)
+        for echo in by_name.get("min_inverse_column_sums", []):  # both read the sorted min spec
+            assert any(echo is e for e in by_name["min_det"])
+        # one spec_to_json per distinct spec: the Cauchy spec, a distinct probe, the
+        # sorted min spec, and the unsorted one when its inverse sums are checked
+        assert len(echoes) == len({id(r.spec_echo) for r in reports if "kind" in r.spec_echo})
