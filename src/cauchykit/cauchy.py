@@ -28,13 +28,15 @@ takes the pair route, and only F_p drops the denominators of 1. The scalar
 bookkeeping works on the same pairs (:func:`_pairs`): the pair-sum check at
 construction and the invertibility verdict hash them, and the weight sum
 adds them over the lcm of their denominators into one scalar. The whole
-inverse builds its scales on the determinant's products, kept on the spec,
-and over F_p reads the entries of C off the spec's :func:`build` matrix
-while the caller holds it, so the n^2 pair sums are inverted once. Over
-F_p that inversion is one sweep grouped by rows, which yields the
-reciprocals and the row products A_j = prod_k (x_j + y_k) together; the
-spec keeps the n products, so after :func:`build` the determinant forms
-no pair sums and multiplies out no row.
+inverse builds its scales on the determinant's products, kept on the spec.
+Over Q it reduces each scale to lowest terms once, with one gcd each, and
+then makes each entry one Fraction of the reduced pairs; over F_p it reads
+the entries of C off the spec's :func:`build` matrix while the caller
+holds it, so the n^2 pair sums are inverted once. Over F_p that
+inversion is one sweep grouped by rows, which yields the reciprocals and
+the row products A_j = prod_k (x_j + y_k) together; the spec keeps the n
+products, so after :func:`build` the determinant forms no pair sums and
+multiplies out no row.
 
 Every closed form here has an independent brute-force counterpart in
 :mod:`cauchykit.densela`; the test suite holds the two sides together on
@@ -293,7 +295,9 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     """Whole inverse in O(n^2) integer operations (plus bignum growth):
     diag(b) * C^T * diag(a) with a_j = A_j / D_j and b_i = B_i / E_i, B the
     column products and E the D of y, so inv[i, j] = a_j b_i C[j][i]. A and
-    the upper halves are :func:`_keep`'s. Over Q each entry is one Fraction.
+    the upper halves are :func:`_keep`'s. Over Q each scale is reduced to
+    lowest terms once, with one gcd (2n in all), and each entry is then one
+    Fraction of the reduced pairs, so its own gcd runs on shorter operands.
     Over F_p the entries of C are the :func:`build` matrix's while the
     caller holds it, else one grouped batch inversion of the n^2 pair sums,
     which also yields A; then b_i = 1 / (E_i prod_k C[k][i]), and one batch
@@ -316,9 +320,10 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
                          for bi, col in zip(inv[n:], cols) for aj, c in zip(a, col)], p)
     else:
         cols = list(zip(*_sums(xs, ys, p)))
+        a = [(na // (g := math.gcd(na, da)), da // g) for na, da in zip(rows, dx)]
+        b = [(nb // (g := math.gcd(nb, db)), db // g) for nb, db in zip(map(math.prod, cols), dy)]
         entries = [Fraction(na * nb, da * db * v)
-                   for nb, db, col in zip(map(math.prod, cols), dy, cols)
-                   for na, da, v in zip(rows, dx, col)]
+                   for (nb, db), col in zip(b, cols) for (na, da), v in zip(a, col)]
     return Matrix._of(n, n, entries, spec.ctx)
 
 

@@ -343,7 +343,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout shows up here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader is gone: stdout to devnull, so the exit-time flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     except (CauchyKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

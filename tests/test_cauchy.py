@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import threading
@@ -13,6 +14,7 @@ from fractions import Fraction as Q
 import pytest
 
 from cauchykit import cauchy, cli
+from cauchykit.canary import hilbert_spec
 from cauchykit.cauchy import (
     CauchySpec,
     NonInvertiblePairSumError,
@@ -617,6 +619,85 @@ class TestOnePassOverThePairSums:
         assert det_closed(spec) == m.det_fast()
         assert inverse_closed(spec) == m.inverse()
         assert spec._rows is None
+
+
+def unreduced_inverse(spec):
+    """The rational inverse with one gcd per entry, from the parameters'
+    integer pairs: inv[i][j] = Fraction(A_j B_i, D_j E_i v_ji), where
+    x_j + y_i = v_ji / (q_j s_i), A_j and B_i are the products of row j and
+    column i of v, and D_j = q_j prod_{k != j} (a_j q_k - a_k q_j) with
+    x_k = a_k / q_k, E the same for y."""
+    xs = [x.as_integer_ratio() for x in spec.xs]
+    ys = [y.as_integer_ratio() for y in spec.ys]
+    v = [[a * s + r * q for r, s in ys] for a, q in xs]
+
+    def dens(us):
+        return [q * math.prod(a * t - c * q for k, (c, t) in enumerate(us) if k != j)
+                for j, (a, q) in enumerate(us)]
+
+    rows, cols, dx, dy = list(map(math.prod, v)), list(map(math.prod, zip(*v))), dens(xs), dens(ys)
+    return [[Q(rows[j] * cols[i], dx[j] * dy[i] * v[j][i]) for j in range(spec.n)]
+            for i in range(spec.n)]
+
+
+def drawn_spec(rng, n, draw):
+    """2n distinct values from ``draw``, none the negative of another: xs, then ys."""
+    vals = []
+    while len(vals) < 2 * n:
+        v = draw(rng)
+        if v not in vals and -v not in vals:
+            vals.append(v)
+    return CauchySpec(vals[:n], vals[n:], RING)
+
+
+def coprime_spec(rng, n):
+    """Each of the 2n parameters over a prime denominator of its own."""
+    ps = [k for k in range(2, 600) if all(k % d for d in range(2, math.isqrt(k) + 1))][:2 * n]
+    rng.shuffle(ps)
+    vals = [Q(rng.choice([a for a in range(-500, 501) if a % d]), d) for d in ps]
+    return CauchySpec(vals[:n], vals[n:], RING)
+
+
+class TestReducedScales:
+    """Over Q inverse_closed reduces each row and column scale to lowest
+    terms once; every entry must still equal the one-gcd-per-entry form,
+    in whichever order the spec's closed forms are first called."""
+
+    CORPUS = {
+        "hilbert": lambda rng: [hilbert_spec(n) for n in range(1, 33)],
+        # as the closed-q benchmark draws: |a| <= 500, denominators <= 24
+        "small-denominators": lambda rng: [
+            drawn_spec(rng, n, lambda r: Q(r.randint(-500, 500), r.randint(1, 24)))
+            for n in (16, 16, 24, 24)],
+        "coprime-primes": lambda rng: [coprime_spec(rng, n) for n in (24, 48)],
+        "integers": lambda rng: [drawn_spec(rng, n, lambda r: Q(r.randint(-500, 500)))
+                                 for n in (1, 5, 16)],
+        "negative": lambda rng: [
+            drawn_spec(rng, n, lambda r: -Q(r.randint(1, 500), r.randint(1, 24))) for n in (3, 12)]
+            + [drawn_spec(rng, 10, lambda r: -Q(r.randint(1, 500)))],
+    }
+    ORDERS = {
+        "build-first": ("build", "det", "inverse"),
+        "det-first": ("det", "inverse", "build"),
+        "inverse-first": ("inverse", "det", "build"),
+    }
+
+    @pytest.mark.parametrize("corpus", CORPUS)
+    def test_matches_the_one_gcd_per_entry_form(self, corpus):
+        for spec in self.CORPUS[corpus](random.Random(71)):
+            want = unreduced_inverse(spec)
+            for order, steps in self.ORDERS.items():
+                fresh = CauchySpec(spec.xs, spec.ys, RING)
+                for step in steps:
+                    if step == "build":
+                        m = build(fresh)
+                    elif step == "det":
+                        det_closed(fresh)
+                    else:
+                        got = inverse_closed(fresh)
+                assert got.to_rows() == want, (corpus, spec.n, order)
+                if spec.n <= 12:
+                    assert got == m.inverse(), (corpus, spec.n, order)
 
 
 def assert_wrapped(entries, p):

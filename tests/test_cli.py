@@ -304,6 +304,21 @@ class TestInputErrors:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (EXIT_PIPE, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_stdout_leaves_no_descriptor_open(self, monkeypatch):
+        # in process, stdout on a pipe whose reader is closed: main points it at devnull and must
+        # close the devnull descriptor it opened to do so
+        grown = []
+        for _ in range(3):
+            r, w = os.pipe()
+            os.close(r)
+            with os.fdopen(w, "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                before = len(os.listdir("/proc/self/fd"))
+                assert main(["gen", "--seed", "1"]) == EXIT_PIPE
+                grown.append(len(os.listdir("/proc/self/fd")) - before)
+        assert grown == [0, 0, 0]
+
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(EXAMPLE)
