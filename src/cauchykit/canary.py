@@ -67,7 +67,11 @@ class FloatMatrix:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
     def entry_sum(self) -> float:
-        return _fsum(self.entries)
+        """math.fsum of the entries; ValueError where a partial sum overflows."""
+        try:
+            return math.fsum(self.entries)
+        except OverflowError as exc:
+            raise ValueError(f"a sum is past the float range: {exc}") from exc
 
 
 class CanaryReport(_Record):
@@ -91,14 +95,6 @@ class CanaryReport(_Record):
 
 
 CSV_HEADER = "n,method,entry_sum_residual,identity_residual,elapsed"
-
-
-def _fsum(values) -> float:
-    """math.fsum of ``values``; ValueError where a partial sum overflows."""
-    try:
-        return math.fsum(values)
-    except OverflowError as exc:
-        raise ValueError(f"a sum is past the float range: {exc}") from exc
 
 
 def _quotient(num: int, den: int) -> float:

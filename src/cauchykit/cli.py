@@ -4,7 +4,8 @@ Subcommands either compute (build, det, inv, gen) or verify (everything
 else). Verification subcommands print reports carrying both the closed
 form and the oracle value; exit status 0 means every report passed, 1
 means some identity check failed, 2 means the input was unusable, and
-141 means the reader closed stdout before the output was written.
+141 means the output could not be written: the reader closed stdout before
+it was written, or stdout was closed from the start.
 
 A subcommand takes only the flags its handler reads; any other exits 2.
 ``--format`` is json|text for det, json|csv|text for the verification
@@ -85,6 +86,8 @@ def _read_spec_arg(arg: str):
         if arg.lstrip().startswith(("{", "[", '"')):
             return _loads(arg)
         if arg == "-":
+            if sys.stdin is None:  # the interpreter started with descriptor 0 closed
+                raise verify.SpecFormatError("stdin is closed")
             return _loads(_read_bounded(sys.stdin))
         try:
             with open(arg, "r", encoding="utf-8") as fh:
@@ -332,14 +335,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # Exact results may pass Python's 4300-digit int-to-str limit (absent
-    # before 3.10.7): lift it while the command runs, as spec parsing bounds
-    # scalar text itself, and restore it after, since main also runs in-process.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
+    # Exact results may pass Python's 4300-digit int-to-str limit: lift it
+    # while the command runs, as spec parsing bounds scalar text itself, and
+    # restore it after, since main also runs in-process.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code = args.handler(args)
+        if sys.stdout is None:  # descriptor 1 was closed at start, so print wrote nothing
+            return EXIT_PIPE
         sys.stdout.flush()  # a closed stdout shows up here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader is gone: stdout to devnull, so the exit-time flush is quiet
@@ -348,10 +352,13 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_PIPE
     except (CauchyKitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:  # stderr is line-buffered, so a descriptor that refuses writes fails here
+            sys.stderr.write(f"error: {exc}\n")
+        except (AttributeError, OSError):  # stderr is closed (None or refusing): the code alone tells
+            pass
         return EXIT_INPUT
     finally:
-        set_limit(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

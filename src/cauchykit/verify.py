@@ -5,6 +5,14 @@ the closed-form and oracle values as canonical rendered strings, so a
 reader can recompute the pass flag from the report alone. All randomness
 is driven by an explicit ``random.Random`` instance; given the same seed,
 every generator and the whole suite are bit-reproducible.
+
+Every identity of :data:`IDENTITIES` is checked by one function,
+:func:`check_identity`, which :func:`run_suite` and the CLI both call; the
+two matrix identities have :func:`check_border_general` and
+:func:`check_lemma_ab`. Each ``check_*`` function makes one report and
+calls no other ``check_*`` function, so a tracer that wraps them all (as
+the benchmark's ``verify.check`` layer does) sees one outermost span per
+report and none nested. Every report value renders with ``str``.
 """
 
 from __future__ import annotations
@@ -292,22 +300,12 @@ IDENTITIES = {
 }
 
 
-def check_identity(identity: str, spec, seed=None, matrix=None) -> VerificationReport:
+def check_identity(identity: str, spec, seed=None, matrix=None, echo=None) -> VerificationReport:
     """Check one identity of :data:`IDENTITIES` on a Cauchy or min spec: the
     closed form is evaluated first, so its precondition errors come first.
-    The oracle reads only the spec's matrix: ``matrix``, or one built here."""
-    return _check(identity, spec, seed, matrix, None)
-
-
-def check_echoed(identity: str, spec, seed, matrix, echo: dict) -> VerificationReport:
-    """:func:`check_identity` with the spec's echo, ``spec_to_json(spec)``,
-    made by the caller, so that :func:`run_suite` makes one per spec. Its
-    name starts with ``check_``, as the benchmark's tracer times those, and
-    it calls no other such function, so each report is one span."""
-    return _check(identity, spec, seed, matrix, echo)
-
-
-def _check(identity: str, spec, seed, matrix, echo) -> VerificationReport:
+    The oracle reads only the spec's matrix: ``matrix``, or one built here.
+    ``echo`` is the spec's ``spec_to_json(spec)`` if the caller has made it,
+    so that :func:`run_suite` makes one per spec."""
     closed, oracle, render = IDENTITIES[identity]
     lhs = render(closed(spec))
     if matrix is None:
@@ -316,28 +314,29 @@ def _check(identity: str, spec, seed, matrix, echo) -> VerificationReport:
 
 
 def check_border_general(a: Matrix, seed=None) -> VerificationReport:
-    r = a.ctx.render
     return _report(
         "border_adjugate_sum",
-        r(-a.adjugate_entry_sum()),
-        r(border_with_ones(a).det_fast()),
+        str(-a.adjugate_entry_sum()),
+        str(border_with_ones(a).det_fast()),
         {"matrix": matrix_to_json(a), "ring": ring_to_json(a.ctx)},
         seed,
     )
 
 
 def check_lemma_ab(a: Matrix, b: Matrix, w: WeightVectors, seed=None) -> VerificationReport:
+    """The weighted trace identity on ``a``, ``b`` and ``w``, whose weights
+    are scalars of the matrices' ring, as :func:`random_weights` makes them,
+    so that the echo renders them with ``str``."""
     lhs, rhs = lemma_ab_check(a, b, w)
-    r = a.ctx.render
     return _report(
         "weighted_trace_ab",
-        r(lhs),
-        r(rhs),
+        str(lhs),
+        str(rhs),
         {
             "A": matrix_to_json(a),
             "B": matrix_to_json(b),
-            "xs": [r(x) for x in w.xs],
-            "ys": [r(y) for y in w.ys],
+            "xs": [str(x) for x in w.xs],
+            "ys": [str(y) for y in w.ys],
             "ring": ring_to_json(a.ctx),
         },
         seed,
@@ -372,14 +371,14 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
         spec = random_cauchy_spec(rng, ctx, n)
         c, echo = _gauss_jordan(cauchy.build(spec)), spec_to_json(spec)
         for identity in ("cauchy_det", "inverse_entry_sum", "inverse_entrywise", "bordered_det"):
-            reports.append(check_echoed(identity, spec, seed, c, echo))
+            reports.append(check_identity(identity, spec, seed, c, echo))
 
         # every other trial, degrade the spec so the adjugate identity and
         # the invertibility criterion see the singular branch too
         probe = force_repeated_value(rng, spec) if t % 2 == 0 else spec
         pc, pecho = (c, echo) if probe is spec else (cauchy.build(probe), spec_to_json(probe))
-        reports.append(check_echoed("adjugate_entry_sum", probe, seed, pc, pecho))
-        reports.append(check_echoed("invertibility_criterion", probe, seed, pc, pecho))
+        reports.append(check_identity("adjugate_entry_sum", probe, seed, pc, pecho))
+        reports.append(check_identity("invertibility_criterion", probe, seed, pc, pecho))
 
         side = rng.randint(1, min(n_max, 5))
         reports.append(check_border_general(random_matrix(rng, ctx, side, side), seed))
@@ -393,8 +392,8 @@ def run_suite(seed: int, trials: int, n_max: int) -> list[VerificationReport]:
         invertible = m.det_fast() != 0
         if invertible:  # min_det's determinant and the column sums' inverse in one run
             _gauss_jordan(ms)
-        reports.append(check_echoed("min_det", sorted_spec, seed, ms, secho))
+        reports.append(check_identity("min_det", sorted_spec, seed, ms, secho))
         if invertible:
-            reports.append(check_echoed("min_inverse_entry_sum", mspec, seed, m, spec_to_json(mspec)))
-            reports.append(check_echoed("min_inverse_column_sums", sorted_spec, seed, ms, secho))
+            reports.append(check_identity("min_inverse_entry_sum", mspec, seed, m, spec_to_json(mspec)))
+            reports.append(check_identity("min_inverse_column_sums", sorted_spec, seed, ms, secho))
     return reports

@@ -319,6 +319,22 @@ class TestInputErrors:
                 grown.append(len(os.listdir("/proc/self/fd")) - before)
         assert grown == [0, 0, 0]
 
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+    @pytest.mark.parametrize("argv, redirect, expected", (
+        (["det", "-"], "<&-", (EXIT_INPUT, b"", b"error: stdin is closed\n")),
+        # the spec is made, but the output cannot be written
+        (["gen", "--seed", "1", "--n", "2"], ">&-", (EXIT_PIPE, b"", b"")),
+        (["det", '{"xs":[],"ys":[]}'], ">&-",
+         (EXIT_INPUT, b"", b"error: unusable spec: need at least one parameter in each vector\n")),
+        # the error line has nowhere to go, and must not go to stdout
+        (["det", '{"xs":[],"ys":[]}'], "2>&-", (EXIT_INPUT, b"", b"")),
+    ))
+    def test_closed_standard_stream(self, argv, redirect, expected):
+        # the interpreter starts with the descriptor closed, as `cauchykit det - <&-` in a shell
+        proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                               "cauchykit", *argv], capture_output=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(EXAMPLE)
