@@ -25,7 +25,7 @@ import operator
 import time
 from collections.abc import Sequence
 
-from .cauchy import CauchySpec, _ints, _sums, is_invertible_spec
+from .cauchy import CauchySpec, _sums, is_invertible_spec
 from .ring import CauchyKitError, NotInvertibleError, RationalRing, _Record
 
 
@@ -117,7 +117,7 @@ def float_image(spec: CauchySpec) -> FloatMatrix:
     """The float image of the Cauchy matrix: entry (i, j) is the correctly
     rounded int quotient q_i s_j / sums[i][j] of the integer kernel. Raises
     ValueError if an entry is past the float range."""
-    xs, ys, p = _ints(spec)
+    xs, ys, p = spec._int_pairs
     if p:
         raise CauchyKitError("only rational matrices have a float image")
     return FloatMatrix(spec.n, spec.n, [

@@ -19,16 +19,20 @@ This module holds the constructions and closed-form results:
 * the ones-bordered determinant, -(sum(x) + sum(y)) * det.
 
 The determinant, the matrix, its inverse and any one inverse entry run on
-one integer kernel (:func:`_ints`): each parameter is lifted to its own
-integer pair, the differences and sums are cross-multiplied, and each
-result crosses back into the ring once, as one Fraction over Q or, over
-F_p, after one (batch) inversion of all its denominators. The kernel has
-one route per ring: every rational spec, integer-valued ones included,
-takes the pair route, and only F_p drops the denominators of 1. The scalar
-bookkeeping works on the same pairs (:func:`_pairs`): the pair-sum check at
-construction and the invertibility verdict hash them, and the weight sum
-adds them over the lcm of their denominators into one scalar. The whole
-inverse builds its scales on the determinant's products, kept on the spec.
+one integer kernel: each parameter is lifted once, when the spec is made,
+to its own integer pair (:func:`_pairs`), which the spec keeps for every
+later use; with x_i = a_i/q_i and y_j = r_j/s_j the differences and sums
+are cross-multiplied, x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
+x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j), and each result crosses back
+into the ring once, as one Fraction over Q or, over F_p, after one (batch)
+inversion of all its denominators. A common denominator instead would grow
+with every coprime denominator. The kernel has one route per ring: every
+rational spec, integer-valued ones included, takes the pair route, and
+only F_p drops the denominators of 1. The scalar bookkeeping works on the
+same pairs: the pair-sum check at construction and the invertibility
+verdict hash them, and the weight sum adds them over the lcm of their
+denominators into one scalar. The whole inverse builds its scales on the
+determinant's products, kept on the spec.
 Over Q it reduces each scale to lowest terms once, with one gcd each, and
 then makes each entry one Fraction of the reduced pairs; over F_p it reads
 the entries of C off the spec's :func:`build` matrix while the caller
@@ -74,6 +78,8 @@ class CauchySpec:
     x_i + y_j = 0 exactly when x_i = -y_j, a lookup of each x's integer pair
     among the negated pairs of the y's, and fails fast with the first
     offending (i, j) in row-major order rather than deep inside a product later.
+    The check's integer pairs of the x's and the y's are kept, with the
+    modulus p (0 over Q), as ``_int_pairs``, which every closed form reads.
     A spec is immutable after construction: :func:`det_closed` and
     :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
     and so does :meth:`weight_sum` (``_weight``); ``_kept`` is :func:`_keep`'s.
@@ -83,7 +89,7 @@ class CauchySpec:
     pair sums, by :func:`build` or :func:`inverse_closed`.
     """
 
-    __slots__ = ("xs", "ys", "ctx", "_det", "_verdict", "_weight", "_kept", "_built", "_rows")
+    __slots__ = ("xs", "ys", "ctx", "_int_pairs", "_det", "_verdict", "_weight", "_kept", "_built", "_rows")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
         xs = tuple(ctx.coerce(x) for x in xs)
@@ -93,14 +99,16 @@ class CauchySpec:
         if len(xs) != len(ys):
             raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
         p = ctx.p if isinstance(ctx, PrimeField) else 0
+        xp, yp = _pairs(xs, p), _pairs(ys, p)
         # x + y_j = 0 iff x = -y_j
-        neg = {(-r % p if p else -r, s): j for j, (r, s) in reversed(tuple(enumerate(_pairs(ys, p))))}
-        for i, x in enumerate(_pairs(xs, p)):
+        neg = {(-r % p if p else -r, s): j for j, (r, s) in reversed(tuple(enumerate(yp)))}
+        for i, x in enumerate(xp):
             if x in neg:
                 raise NonInvertiblePairSumError(i, neg[x])
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
+        self._int_pairs = (xp, yp, p)
         self._det = self._verdict = self._weight = self._kept = self._built = self._rows = None
 
     @property
@@ -112,7 +120,7 @@ class CauchySpec:
         over Q one Fraction over the lcm of the 2n denominators, over F_p one
         residue."""
         if self._weight is None:
-            xs, ys, p = _ints(self)
+            xs, ys, p = self._int_pairs
             d = math.lcm(*(q for _, q in xs + ys))
             num = sum(a * (d // q) for a, q in xs + ys)
             self._weight = FpElement(num, p) if p else Fraction(num, d)
@@ -138,21 +146,6 @@ class InvertibilityVerdict(_Frozen):
     def __init__(self, invertible: bool, witness: tuple[str, int, int] | None = None):
         object.__setattr__(self, "invertible", invertible)
         object.__setattr__(self, "witness", witness)
-
-
-def _ints(spec: CauchySpec) -> tuple[list, list, int]:
-    """The integer kernel's view of a spec: each parameter as its own pair
-    (numerator, denominator), (residue, 1) over F_p, and the modulus p, 0
-    over Q. The kernel forks only on the ring: over F_p every denominator
-    is 1 and it skips its multiplications by 1. With x_i = a_i/q_i and
-    y_j = r_j/s_j, differences and sums are cross-multiplied:
-    x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
-    x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j). Results cross back into the
-    ring once each; a common denominator instead would grow with every
-    coprime denominator."""
-    p = spec.ctx.p if isinstance(spec.ctx, PrimeField) else 0
-    xs, ys = _pairs(spec.xs, p), _pairs(spec.ys, p)
-    return xs, ys, p
 
 
 def _pairs(vec: Sequence, p: int) -> list:
@@ -196,7 +189,7 @@ def _keep(spec: CauchySpec, xs: list, ys: list, p: int) -> tuple:
 
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
-    xs, ys, p = _ints(spec)
+    xs, ys, p = spec._int_pairs
     n, sums = spec.n, _sums(xs, ys, p)
     if not p:
         return Matrix._of(n, n, [Fraction(q * s, v) for (_, q), row in zip(xs, sums)
@@ -217,7 +210,7 @@ def det_closed(spec: CauchySpec) -> Scalar:
     the pair sums kept on the spec, if any ran.
     """
     if spec._det is None:
-        xs, ys, p = _ints(spec)
+        xs, ys, p = spec._int_pairs
         rows, ux, uy = spec._kept or _keep(spec, xs, ys, p)
         # the denominators cancel down to prod(q) prod(s) on top
         num = _prod(ux + uy + [q for _, q in xs + ys], p)
@@ -231,11 +224,11 @@ def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     matrix is invertible iff the x's are pairwise strongly distinct and the
     y's are pairwise strongly distinct (differences invertible). In a field
     a difference is invertible iff it is nonzero, so this is plain
-    distinctness, decided in O(n) by hashing the integer pairs of
-    :func:`_pairs`; the witness is the first repeat in lexicographic
+    distinctness, decided in O(n) by hashing the integer pairs the spec
+    kept at construction; the witness is the first repeat in lexicographic
     (name, i, j) order."""
     if spec._verdict is None:
-        xs, ys, _ = _ints(spec)
+        xs, ys, _ = spec._int_pairs
         repeats = []
         for name, vec in (("x", xs), ("y", ys)):
             first = {}
@@ -275,7 +268,7 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) out of range for n={n}")
-    xs, ys, p = _ints(spec)
+    xs, ys, p = spec._int_pairs
     x, y = xs[j], ys[i]
     (a, q), (r, s) = x, y
     row, col = _sums([x], ys, p)[0], _sums([y], xs, p)[0]
@@ -303,7 +296,7 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     which also yields A; then b_i = 1 / (E_i prod_k C[k][i]), and one batch
     inversion covers these and the D."""
     _require_invertible(spec)
-    xs, ys, p = _ints(spec)
+    xs, ys, p = spec._int_pairs
     n = spec.n
     m = spec._built() if spec._built is not None else None
     if m is not None:

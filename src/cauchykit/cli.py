@@ -5,7 +5,8 @@ else). Verification subcommands print reports carrying both the closed
 form and the oracle value; exit status 0 means every report passed, 1
 means some identity check failed, 2 means the input was unusable, and
 141 means the output could not be written: the reader closed stdout before
-it was written, or stdout was closed from the start.
+it was written, stdout was closed from the start, or a write failed (say,
+a full disk), which also prints an ``error:`` line.
 
 A subcommand takes only the flags its handler reads; any other exits 2.
 ``--format`` is json|text for det, json|csv|text for the verification
@@ -35,7 +36,7 @@ from .ring import CauchyKitError, PrimeField, RationalRing, RingContext
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_INPUT = 2
-EXIT_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout before the output was written
+EXIT_PIPE = 141  # 128 + SIGPIPE: the output could not be written
 
 
 def _parse_ring(text: str) -> RingContext:
@@ -101,6 +102,8 @@ def _read_spec_arg(arg: str):
         return _loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
+    except OSError as exc:  # a missing file, a directory, unreadable stdin: the input is unusable
+        raise verify.SpecFormatError(str(exc)) from exc
 
 
 def _load_spec(args, kind: str | None = None, prepare=None):
@@ -346,17 +349,19 @@ def main(argv=None) -> int:
             return EXIT_PIPE
         sys.stdout.flush()  # a closed stdout shows up here, not at interpreter exit
         return code
-    except BrokenPipeError:  # the reader is gone: stdout to devnull, so the exit-time flush is quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_PIPE
     except (CauchyKitError, OSError) as exc:
-        try:  # stderr is line-buffered, so a descriptor that refuses writes fails here
-            sys.stderr.write(f"error: {exc}\n")
-        except (AttributeError, OSError):  # stderr is closed (None or refusing): the code alone tells
-            pass
-        return EXIT_INPUT
+        # the SPEC reader turns its own OSErrors into SpecFormatError, so this one is the output's
+        unwritten = isinstance(exc, OSError)
+        if unwritten:  # stdout to devnull, so the exit-time flush is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that is gone needs no telling
+            try:  # stderr is line-buffered, so a descriptor that refuses writes fails here
+                sys.stderr.write(f"error: {exc}\n")
+            except (AttributeError, OSError):  # stderr is closed (None or refusing): the code alone tells
+                pass
+        return EXIT_PIPE if unwritten else EXIT_INPUT
     finally:
         sys.set_int_max_str_digits(limit)
 

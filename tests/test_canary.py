@@ -16,7 +16,7 @@ from cauchykit.canary import (
     run_canary,
 )
 from cauchykit.cauchy import CauchySpec, build, inverse_closed, is_invertible_spec
-from cauchykit.ring import CauchyKitError, PrimeField, RationalRing
+from cauchykit.ring import CauchyKitError, NotInvertibleError, PrimeField, RationalRing
 
 RING = RationalRing()
 
@@ -185,6 +185,23 @@ def test_identity_residual_rejects_shape_mismatch():
 def test_run_canary_needs_rationals():
     with pytest.raises(CauchyKitError, match="float image"):
         run_canary(CauchySpec([1, 2], [3, 5], PrimeField(101)))
+
+
+@pytest.mark.parametrize(
+    "route, argument, error, what",
+    [
+        (lambda entries: FloatMatrix(2, 2, entries), [1.0] * 3, ValueError, "2x2 needs 4 entries, got 3"),
+        (invert_gauss_pp, FloatMatrix(2, 3, [1.0] * 6), ValueError, "square"),
+        (invert_closed_float, CauchySpec([1, 2], [3, 5], PrimeField(101)), CauchyKitError, "rational"),
+        # each entry of C * C_inv is 1e200 * 1e200, past the float range
+        (lambda m: identity_residual(m, m), FloatMatrix(1, 1, [1e200]), ValueError, "non-finite entry inf"),
+        (run_canary, CauchySpec([1, 1], [2, 3], RING), NotInvertibleError, "invertible spec"),
+    ],
+    ids=("entry-count", "gauss-pp-shape", "closed-float-ring", "residual-product", "singular-spec"),
+)
+def test_unusable_arguments_raise(route, argument, error, what):
+    with pytest.raises(error, match=what):
+        route(argument)
 
 
 @pytest.mark.parametrize(

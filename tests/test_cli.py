@@ -246,7 +246,6 @@ class TestInputErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit before 3.10.7")
     def test_exact_result_past_the_int_str_limit(self, capsys):
         # the determinant has more than 4300 digits, Python's default limit
         # for int-to-str conversion, which main lifts only while it runs
@@ -334,6 +333,27 @@ class TestInputErrors:
         proc = subprocess.run(["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
                                "cauchykit", *argv], capture_output=True, env=cli_env(), timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", (["gen", "--seed", "1", "--n", "2"], ["canary"],
+                                      ["det", '{"xs":[1],"ys":[2]}', "--format", "text"]))
+    def test_refused_output_exits_141(self, argv):
+        # every write to /dev/full fails, as on a full disk: the input was fine, the output is lost
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "cauchykit", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("source, message", (
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+        (".", "[Errno 21] Is a directory: '.'"),
+        ("-", "not readable"),  # stdin open for writing only
+    ))
+    def test_unreadable_spec_exits_2(self, capsys, tmp_path, monkeypatch, source, message):
+        monkeypatch.chdir(tmp_path)
+        with open(tmp_path / "out", "w") as write_only:
+            monkeypatch.setattr(sys, "stdin", write_only)
+            assert run(capsys, "det", source) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_spec_file_path(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

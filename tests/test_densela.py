@@ -50,6 +50,15 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             Matrix(0, 3, [], RING)
+        with pytest.raises(ShapeError, match="at least one row"):
+            Matrix.from_rows([], RING)
+
+    def test_entry_out_of_range(self):
+        m = Matrix.from_rows([[1, 2], [3, 4]], RING)
+        assert m.entry(1, 0) == 3
+        for i, j in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError, match="out of range for 2x2"):
+                m.entry(i, j)
 
     def test_entries_coerced(self):
         m = Matrix.from_rows([[1, "1/2"]], RING)
@@ -85,6 +94,14 @@ class TestMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Matrix.identity(2, RING) * Matrix.identity(3, RING)
+
+    def test_non_matrix_operand(self):
+        # Matrix returns NotImplemented, so Python raises for * and falls back to identity for ==
+        m = Matrix.identity(2, RING)
+        for other in (2, Q(1, 2), [[1, 0], [0, 1]]):
+            with pytest.raises(TypeError):
+                m * other
+            assert (m == other, other == m, m != other) == (False, False, True)
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatchError):
@@ -517,6 +534,11 @@ class TestLemmaAb:
         w = WeightVectors((rand_scalar(rng, RING),), (rand_scalar(rng, RING), rand_scalar(rng, RING)))
         lhs, rhs = lemma_ab_check(a, b, w)
         assert lhs == rhs
+
+    def test_context_checked(self):
+        with pytest.raises(ContextMismatchError, match="different ring contexts"):
+            lemma_ab_check(Matrix.identity(2, RING), Matrix.identity(2, F101),
+                           WeightVectors((Q(1),) * 2, (Q(1),) * 2))
 
     def test_shape_checked(self):
         a = Matrix.identity(2, RING)

@@ -90,13 +90,12 @@ def test_one_dict_at_two_depths_is_laid_out_at_each():
 
 def test_ints_past_the_digit_limit():
     big = [10**5000, {"big": [-(10**5000) - 7], "n": 1}]
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)  # as cli.main does while a command runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main does while a command runs
     try:
         assert dump(big) == reference(big)
     finally:
-        set_limit(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("obj", [[object()], {"a": {"b": object()}}, {(1, 2): [1]}, {"a": [1], 1: [2]}])

@@ -276,6 +276,8 @@ class TestContextMixing:
     def test_mixed_primes(self):
         with pytest.raises(ContextMismatchError):
             FpElement(1, 101) + FpElement(1, 5)
+        with pytest.raises(ContextMismatchError, match="residue mod 5 used in F_7 context"):
+            PrimeField(7).coerce(FpElement(1, 5))
 
     def test_fraction_plus_residue(self):
         with pytest.raises(ContextMismatchError):
@@ -328,6 +330,7 @@ class TestOperands:
                    lambda: a * other, lambda: a / other, lambda: other / a):
             with pytest.raises(TypeError):
                 op()
+        assert (a == other, other == a, a != other) == (False, False, True)
 
     @pytest.mark.parametrize("other", [Q(1, 2), 0.5, 1j], ids=("fraction", "float", "complex"))
     def test_fraction_float_and_complex_are_a_context_mismatch(self, other):

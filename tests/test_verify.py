@@ -186,13 +186,14 @@ class TestOneBuildPerSpec:
         min_invertible = any(r.identity == "min_inverse_entry_sum" for r in reports)
         # the spec, and the probe with a forced repeat when n >= 2
         assert len(cauchy_builds) == (2 if n >= 2 else 1)
-        assert len(min_builds) == 2  # the spec and its normalized form
-        # one Gauss-Jordan run on the Cauchy matrix and on the min matrix, plus
-        # one on the sorted min matrix when it is invertible; every other
+        # the normalized form, and the spec itself when its matrix is invertible
+        assert len(min_builds) == (2 if min_invertible else 1)
+        # one Gauss-Jordan run on the Cauchy matrix and on the sorted min matrix,
+        # plus one on the unsorted min matrix when it is invertible; every other
         # inverse call reads a kept inverse
         jordan = [args for args, kwargs in eliminations if kwargs.get("jordan")]
         assert len(jordan) == (3 if min_invertible else 2)
-        assert len(inverses) == (7 if min_invertible else 4)
+        assert len(inverses) == (6 if min_invertible else 4)
         # no matrix is eliminated twice, whether for its determinant or its inverse
         matrices = [args[0] for args, _ in eliminations]
         assert len({id(m) for m in matrices}) == len(matrices)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run the Tier-1 suite under each Python interpreter named on the command
 # line, and print each one's version with its pytest summary line (and the
-# id of each failed test).
+# id of each failed test). Every interpreter runs; the script exits 1 if any
+# run had a failure or an error, else 0.
 #
 #     tools/tier1_pythons.sh ~/.pyenv/versions/3.12.1/bin/python ~/.pyenv/versions/3.13.0/bin/python
 #
@@ -36,10 +37,12 @@ while todo:  # each distribution with the requirements that apply to the host, w
             os.symlink(dist.locate_file(top), target)
 PY
 
+status=0
 for py in "$@"; do
     version=$("$py" -c 'import platform; print(platform.python_version())')
     log=$(cd "$repo" && PYTHONPATH="src:$deps" PYTHONPYCACHEPREFIX="$deps/pycache" \
-        "$py" -m pytest -q --continue-on-collection-errors 2>&1) || true
+        "$py" -m pytest -q --continue-on-collection-errors 2>&1) || status=1
     echo "$version: $(printf '%s\n' "$log" | tail -n 1)"
     printf '%s\n' "$log" | grep -E '^(FAILED|ERROR) ' | cut -c1-160 | sed 's/^/    /' || true
 done
+exit $status
