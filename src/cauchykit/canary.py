@@ -8,11 +8,12 @@ matrix twice, by Gauss-Jordan with partial pivoting and by the closed-form
 entry products, and scores each against that exact statistic plus a
 max-norm identity residual.
 
-The float image is read straight off the integers of the closed forms'
-kernel: entry (i, j) is the int quotient q_i s_j / sums[i][j], which Python
-rounds correctly, so it equals float() of the exact entry bit for bit with
-no exact matrix built. The identity residual is taken entry by entry, each
-entry of C * C_inv an fsum of its rounded products, with no product matrix.
+The float image comes through the closed forms' kernel, by its entry helper
+:func:`cauchykit.cauchy._entries`: entry (i, j) is the int quotient
+q_i s_j / sums[i][j], which Python rounds correctly, so it equals float() of
+the exact entry bit for bit with no exact matrix built. The identity
+residual is taken entry by entry, each entry of C * C_inv an fsum of its
+rounded products, with no product matrix.
 
 The closed-form route rounds the inverse's scales with its own float-only
 :func:`_scale`. Floats live only here; the rest of the package is exact.
@@ -25,7 +26,7 @@ import operator
 import time
 from collections.abc import Sequence
 
-from .cauchy import CauchySpec, _sums, is_invertible_spec
+from .cauchy import CauchySpec, _entries, is_invertible_spec
 from .ring import CauchyKitError, NotInvertibleError, RationalRing, _Record
 
 
@@ -115,13 +116,12 @@ def hilbert_spec(n: int) -> CauchySpec:
 
 def float_image(spec: CauchySpec) -> FloatMatrix:
     """The float image of the Cauchy matrix: entry (i, j) is the correctly
-    rounded int quotient q_i s_j / sums[i][j] of the integer kernel. Raises
-    ValueError if an entry is past the float range."""
-    xs, ys, p = spec._int_pairs
-    if p:
+    rounded int quotient q_i s_j / sums[i][j] that the kernel's entry helper
+    hands to :func:`_quotient`. Raises ValueError if an entry is past the
+    float range."""
+    if not isinstance(spec.ctx, RationalRing):
         raise CauchyKitError("only rational matrices have a float image")
-    return FloatMatrix(spec.n, spec.n, [
-        _quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys, p)) for (_, s), v in zip(ys, row)])
+    return FloatMatrix(spec.n, spec.n, _entries(spec, _quotient))
 
 
 def invert_gauss_pp(m: FloatMatrix) -> FloatMatrix:

@@ -20,19 +20,22 @@ This module holds the constructions and closed-form results:
 
 The determinant, the matrix, its inverse and any one inverse entry run on
 one integer kernel: each parameter is lifted once, when the spec is made,
-to its own integer pair (:func:`_pairs`), which the spec keeps for every
-later use; with x_i = a_i/q_i and y_j = r_j/s_j the differences and sums
-are cross-multiplied, x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
+to its own integer pair, which the spec keeps for every later use; with
+x_i = a_i/q_i and y_j = r_j/s_j the differences and sums are
+cross-multiplied, x_i - x_j = (a_i q_j - a_j q_i)/(q_i q_j) and
 x_i + y_j = (a_i s_j + r_j q_i)/(q_i s_j), and each result crosses back
 into the ring once, as one Fraction over Q or, over F_p, after one (batch)
 inversion of all its denominators. A common denominator instead would grow
 with every coprime denominator. The kernel has one route per ring: every
 rational spec, integer-valued ones included, takes the pair route, and
 only F_p drops the denominators of 1. The scalar bookkeeping works on the
-same pairs: the pair-sum check at construction and the invertibility
-verdict hash them, and the weight sum adds them over the lcm of their
-denominators into one scalar. The whole inverse builds its scales on the
-determinant's products, kept on the spec.
+same pairs: the constructor hashes each vector's pairs once, into the map
+that both the pair-sum check and the invertibility verdict read, and the
+weight sum adds them over the lcm of their denominators into one scalar.
+The rational matrix's entries come from one helper, :func:`_entries`,
+which :func:`build` calls with Fraction and :mod:`cauchykit.canary` with
+its float quotient, so the kernel stays inside this module. The whole
+inverse builds its scales on the determinant's products, kept on the spec.
 Over Q it reduces each scale to lowest terms once, with one gcd each, and
 then makes each entry one Fraction of the reduced pairs; over F_p it reads
 the entries of C off the spec's :func:`build` matrix while the caller
@@ -56,7 +59,7 @@ from fractions import Fraction
 
 from .densela import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
-                   Scalar, _Frozen, _inv_all_mod, _inv_rows_mod, _wrap)
+                   Scalar, _Frozen, _inv_all_mod, _inv_rows_mod, _vectors, _wrap)
 
 
 class NonInvertiblePairSumError(CauchyKitError):
@@ -71,45 +74,62 @@ class NonInvertiblePairSumError(CauchyKitError):
         self.j = j
 
 
+class InvertibilityVerdict(_Frozen):
+    """Outcome of the strong-distinctness test.
+
+    ``witness`` names the first failing pair as (vector, i, j) with 0-based
+    positions, e.g. ("x", 0, 1) when x[0] - x[1] is not invertible.
+    """
+
+    __slots__ = __match_args__ = ("invertible", "witness")
+
+    def __init__(self, invertible: bool, witness: tuple[str, int, int] | None = None):
+        object.__setattr__(self, "invertible", invertible)
+        object.__setattr__(self, "witness", witness)
+
+
 class CauchySpec:
     """Parameter vectors defining a Cauchy matrix over one ring context.
 
-    Construction validates every pairwise sum up front, in O(n) since
-    x_i + y_j = 0 exactly when x_i = -y_j, a lookup of each x's integer pair
-    among the negated pairs of the y's, and fails fast with the first
-    offending (i, j) in row-major order rather than deep inside a product later.
-    The check's integer pairs of the x's and the y's are kept, with the
-    modulus p (0 over Q), as ``_int_pairs``, which every closed form reads.
-    A spec is immutable after construction: :func:`det_closed` and
-    :func:`is_invertible_spec` keep their results on it (``_det``, ``_verdict``),
-    and so does :meth:`weight_sum` (``_weight``); ``_kept`` is :func:`_keep`'s.
-    Over F_p, ``_built`` is a weak reference to the matrix :func:`build` last
-    returned, so the spec keeps no matrix alive, and ``_rows`` holds the n
-    row products A_j = prod_k (x_j + y_k) of the last batch inversion of the
-    pair sums, by :func:`build` or :func:`inverse_closed`.
+    Construction lifts each parameter to its integer pair: (numerator,
+    denominator) in lowest terms over Q, (residue, 1) over F_p, so two pairs
+    are equal exactly when the two scalars are. One map per vector, from each
+    pair to its first position, then serves both checks in O(n). The pair-sum
+    check fails fast with the first (i, j) in row-major order where
+    x_i + y_j = 0, that is where -x_i is among the y's, rather than deep inside
+    a product later. The invertibility verdict is decided from the same maps:
+    a vector repeats a pair only when its map is shorter than n, and only then
+    are the positions scanned for the witness. The pairs are kept, with the
+    modulus p (0 over Q), as ``_int_pairs``, which every closed form reads,
+    and the verdict as ``_verdict``, which :func:`is_invertible_spec` returns.
+    A spec is immutable after construction: :func:`det_closed` keeps its
+    result on it (``_det``), and so does :meth:`weight_sum` (``_weight``);
+    ``_kept`` is :func:`_keep`'s. Over F_p, ``_built`` is a weak reference to
+    the matrix :func:`build` last returned, so the spec keeps no matrix alive,
+    and ``_rows`` holds the n row products A_j = prod_k (x_j + y_k) of the
+    last batch inversion of the pair sums, by :func:`build` or
+    :func:`inverse_closed`.
     """
 
     __slots__ = ("xs", "ys", "ctx", "_int_pairs", "_det", "_verdict", "_weight", "_kept", "_built", "_rows")
 
     def __init__(self, xs: Sequence, ys: Sequence, ctx: RingContext):
-        xs = tuple(ctx.coerce(x) for x in xs)
-        ys = tuple(ctx.coerce(y) for y in ys)
-        if len(xs) == 0:
-            raise ValueError("need at least one parameter in each vector")
-        if len(xs) != len(ys):
-            raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
-        p = ctx.p if isinstance(ctx, PrimeField) else 0
-        xp, yp = _pairs(xs, p), _pairs(ys, p)
-        # x + y_j = 0 iff x = -y_j
-        neg = {(-r % p if p else -r, s): j for j, (r, s) in reversed(tuple(enumerate(yp)))}
-        for i, x in enumerate(xp):
-            if x in neg:
-                raise NonInvertiblePairSumError(i, neg[x])
+        xs, ys = _vectors(xs, ys, ctx.coerce)
+        n, p = len(xs), ctx.p if isinstance(ctx, PrimeField) else 0
+        xp, yp = ([(v.value, 1) for v in vec] if p else [v.as_integer_ratio() for v in vec]
+                  for vec in (xs, ys))
+        xfirst, yfirst = (dict(zip(vec[::-1], range(n - 1, -1, -1))) for vec in (xp, yp))
+        for i, (a, q) in enumerate(xp):  # x_i + y_j = 0 iff y_j = -x_i
+            if (neg := (-a % p if p else -a, q)) in yfirst:
+                raise NonInvertiblePairSumError(i, yfirst[neg])
+        repeats = [(name, first[v], k) for name, vec, first in (("x", xp, xfirst), ("y", yp, yfirst))
+                   if len(first) < n for k, v in enumerate(vec) if first[v] != k]
         self.xs = xs
         self.ys = ys
         self.ctx = ctx
         self._int_pairs = (xp, yp, p)
-        self._det = self._verdict = self._weight = self._kept = self._built = self._rows = None
+        self._verdict = InvertibilityVerdict(not repeats, min(repeats, default=None))
+        self._det = self._weight = self._kept = self._built = self._rows = None
 
     @property
     def n(self) -> int:
@@ -132,27 +152,6 @@ class CauchySpec:
             f"CauchySpec(xs=[{', '.join(r(x) for x in self.xs)}], "
             f"ys=[{', '.join(r(y) for y in self.ys)}])"
         )
-
-
-class InvertibilityVerdict(_Frozen):
-    """Outcome of the strong-distinctness test.
-
-    ``witness`` names the first failing pair as (vector, i, j) with 0-based
-    positions, e.g. ("x", 0, 1) when x[0] - x[1] is not invertible.
-    """
-
-    __slots__ = __match_args__ = ("invertible", "witness")
-
-    def __init__(self, invertible: bool, witness: tuple[str, int, int] | None = None):
-        object.__setattr__(self, "invertible", invertible)
-        object.__setattr__(self, "witness", witness)
-
-
-def _pairs(vec: Sequence, p: int) -> list:
-    """Each scalar of ``vec`` as its integer pair: (numerator, denominator) in
-    lowest terms over Q (p = 0), (residue, 1) over F_p. Two pairs are equal
-    exactly when the two scalars are."""
-    return [(v.value, 1) for v in vec] if p else [v.as_integer_ratio() for v in vec]
 
 
 def _prod(vs, p: int) -> int:
@@ -187,14 +186,21 @@ def _keep(spec: CauchySpec, xs: list, ys: list, p: int) -> tuple:
     return spec._kept
 
 
+def _entries(spec: CauchySpec, quotient) -> list:
+    """The entries 1/(x_i + y_j) = q_i s_j / sums[i][j] of a rational spec's
+    matrix, row-major, each ``quotient(q_i s_j, sums[i][j])``: Fraction for
+    :func:`build`, a correctly rounded float for the canary's float image."""
+    xs, ys, _ = spec._int_pairs
+    return [quotient(q * s, v) for (_, q), row in zip(xs, _sums(xs, ys, 0)) for (_, s), v in zip(ys, row)]
+
+
 def build(spec: CauchySpec) -> Matrix:
     """The n x n matrix with entry (i, j) = 1/(x_i + y_j) = q_i s_j / sums[i][j]."""
     xs, ys, p = spec._int_pairs
-    n, sums = spec.n, _sums(xs, ys, p)
+    n = spec.n
     if not p:
-        return Matrix._of(n, n, [Fraction(q * s, v) for (_, q), row in zip(xs, sums)
-                                 for (_, s), v in zip(ys, row)], spec.ctx)
-    vals, spec._rows = _inv_rows_mod(sums, p)
+        return Matrix._of(n, n, _entries(spec, Fraction), spec.ctx)
+    vals, spec._rows = _inv_rows_mod(_sums(xs, ys, p), p)
     m = Matrix._of(n, n, _wrap(vals, p), spec.ctx)
     spec._built = weakref.ref(m)
     return m
@@ -224,20 +230,9 @@ def is_invertible_spec(spec: CauchySpec) -> InvertibilityVerdict:
     matrix is invertible iff the x's are pairwise strongly distinct and the
     y's are pairwise strongly distinct (differences invertible). In a field
     a difference is invertible iff it is nonzero, so this is plain
-    distinctness, decided in O(n) by hashing the integer pairs the spec
-    kept at construction; the witness is the first repeat in lexicographic
+    distinctness, decided in O(n) when the spec was made, from the maps of
+    its integer pairs; the witness is the first repeat in lexicographic
     (name, i, j) order."""
-    if spec._verdict is None:
-        xs, ys, _ = spec._int_pairs
-        repeats = []
-        for name, vec in (("x", xs), ("y", ys)):
-            first = {}
-            for k, v in enumerate(vec):
-                i = first.setdefault(v, k)
-                if i != k:
-                    repeats.append((name, i, k))
-        witness = min(repeats, default=None)
-        spec._verdict = InvertibilityVerdict(witness is None, witness)
     return spec._verdict
 
 

@@ -70,7 +70,7 @@ def _int_in(lo: int, hi: float, what: str):
 
 def _loads(text: str):
     # JSON integers are scalar text too, bounded before int() parses them
-    return json.loads(text, parse_int=lambda s: int(verify._bounded_scalar_text(s)))
+    return json.loads(verify._bounded_nesting(text), parse_int=lambda s: int(verify._bounded_scalar_text(s)))
 
 
 def _read_bounded(fh) -> str:
@@ -100,7 +100,7 @@ def _read_spec_arg(arg: str):
                 pass
             raise
         return _loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise verify.SpecFormatError(f"spec is not valid UTF-8 JSON: {exc}") from exc
     except OSError as exc:  # a missing file, a directory, unreadable stdin: the input is unusable
         raise verify.SpecFormatError(str(exc)) from exc

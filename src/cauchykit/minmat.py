@@ -16,12 +16,14 @@ sometimes-quoted variant with index (k-1, k+1) is undefined at k = n-1 and
 is not used. Sorting needs a real order, so this module is rational-only.
 
 The closed forms compare and subtract integer pairs (numerator,
-denominator), never Fractions: the sort key is exact (:func:`_order`), the
-order checks cross-multiply, and each determinant factor is worked out over
-the lcm of its own four parameters' denominators, so the determinant is one
-Fraction of two integer products. Nothing is lifted over a whole-spec
-denominator, which would grow with every coprime denominator. :func:`build`,
-the oracle's input, keeps plain Fraction ``min``.
+denominator), never Fractions: the sort key is exact (:func:`_order`), and
+each determinant factor is worked out over the lcm of its own four
+parameters' denominators, so the determinant is one Fraction of two integer
+products. The ascending check compares those same lifted numerators as the
+factors are made; only the cross check x[0] <= y[0] cross-multiplies.
+Nothing is lifted over a whole-spec denominator, which would grow with
+every coprime denominator. :func:`build`, the oracle's input, keeps plain
+Fraction ``min``.
 """
 
 from __future__ import annotations
@@ -30,15 +32,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .cauchy import _pairs
 from .densela import Matrix
-from .ring import (
-    CauchyKitError,
-    FpElement,
-    NotInvertibleError,
-    RationalRing,
-    UnorderedRingError,
-)
+from .ring import CauchyKitError, FpElement, NotInvertibleError, RationalRing, UnorderedRingError, _vectors
 
 _RATIONAL = RationalRing()
 
@@ -56,12 +51,7 @@ class MinSpec:
     __slots__ = ("xs", "ys", "_sorted", "_factors")
 
     def __init__(self, xs: Sequence, ys: Sequence):
-        self.xs = tuple(_coerce_rational(x) for x in xs)
-        self.ys = tuple(_coerce_rational(y) for y in ys)
-        if len(self.xs) == 0:
-            raise ValueError("need at least one parameter in each vector")
-        if len(self.xs) != len(self.ys):
-            raise ValueError(f"xs has {len(self.xs)} entries but ys has {len(self.ys)}")
+        self.xs, self.ys = _vectors(xs, ys, _coerce_rational)
         self._sorted = None
         self._factors = None
 
@@ -78,15 +68,18 @@ class SortedMinSpec(MinSpec):
 
     ``swapped`` records whether :func:`normalize` exchanged the roles of the
     two vectors to make x[0] the overall minimum. Immutable like every spec,
-    it keeps ``_sorted`` and ``_factors`` too. Its order is checked once, here;
-    :func:`normalize` builds its result by sorting, past this constructor.
+    it keeps ``_sorted`` and ``_factors`` too. Its order is checked once, here,
+    and :func:`normalize` builds its result through this constructor: the
+    ascending check comes with the determinant's factors, which are kept,
+    and the cross check follows it.
     """
 
     __slots__ = ("swapped",)
 
     def __init__(self, xs: Sequence, ys: Sequence, swapped: bool = False):
         super().__init__(xs, ys)
-        _check_order(self, "sorted spec needs")
+        _factors(self)  # both vectors ascending
+        _check_cross(self, "sorted spec needs")
         self.swapped = swapped
 
 
@@ -108,22 +101,10 @@ def _above(u: tuple, v: tuple) -> bool:
     return u[0] * v[1] > v[0] * u[1]
 
 
-def _check_order(spec: MinSpec, cross: str = "") -> None:
-    """Both vectors ascending and, when ``cross`` names what needs it, x[0] <= y[0];
-    decided on the integer pairs of the parameters."""
-    xs, ys = _pairs(spec.xs, 0), _pairs(spec.ys, 0)
-    for name, vec in (("x", xs), ("y", ys)):
-        for k in range(1, len(vec)):
-            if _above(vec[k - 1], vec[k]):
-                raise UnsortedInputError(f"{name} vector is not ascending at position {k}")
-    if cross and _above(xs[0], ys[0]):
-        raise UnsortedInputError(f"{cross} x[0] <= y[0]; use normalize()")
-
-
-def _require_sorted(spec: MinSpec, cross: str = "") -> None:
-    """:func:`_check_order` for a plain MinSpec; a SortedMinSpec passed it when built."""
-    if not isinstance(spec, SortedMinSpec):
-        _check_order(spec, cross)
+def _check_cross(spec: MinSpec, needs: str) -> None:
+    """x[0] <= y[0], decided on the integer pairs; ``needs`` names what requires it."""
+    if _above(spec.xs[0].as_integer_ratio(), spec.ys[0].as_integer_ratio()):
+        raise UnsortedInputError(f"{needs} x[0] <= y[0]; use normalize()")
 
 
 def build(spec: MinSpec) -> Matrix:
@@ -144,9 +125,7 @@ def normalize(spec: MinSpec) -> SortedMinSpec:
         swapped = _above(xs[0].as_integer_ratio(), ys[0].as_integer_ratio())
         if swapped:
             xs, ys = ys, xs
-        # the public constructor would coerce these and check their order again
-        s = spec._sorted = object.__new__(SortedMinSpec)
-        s.xs, s.ys, s.swapped, s._sorted, s._factors = xs, ys, swapped, None, None
+        spec._sorted = SortedMinSpec(xs, ys, swapped)
     return spec._sorted
 
 
@@ -172,24 +151,34 @@ def inverse_entry_sum(spec: MinSpec) -> Fraction:
 
 def inverse_column_sums(spec: SortedMinSpec) -> tuple[Fraction, ...]:
     """Column sums of the inverse for a sorted spec: (1/x[0], 0, ..., 0)."""
-    _require_sorted(spec, "column sums need")
+    _factors(spec)  # both vectors ascending
+    _check_cross(spec, "column sums need")
     _require_nonsingular(spec)
     return (Fraction(1) / spec.xs[0],) + (Fraction(0),) * (spec.n - 1)
 
 
 def _factors(spec: MinSpec) -> list[tuple[int, int]]:
-    """f[0][0] then the mixed second differences, k = 1..n-1, kept on the spec.
-    Each is an integer pair (numerator, d): factor k is lifted over the lcm d
-    of the denominators of x[k-1], x[k], y[k-1] and y[k] alone."""
+    """f[0][0] then the mixed second differences, k = 1..n-1, kept on the spec
+    once both vectors are found ascending. Each is an integer pair
+    (numerator, d): factor k is lifted over the lcm d of the denominators of
+    x[k-1], x[k], y[k-1] and y[k] alone, and the lifted numerators are
+    compared there, so the order check costs no product of its own. The first
+    x descent is reported, else the first y descent."""
     if spec._factors is None:
-        xs, ys = _pairs(spec.xs, 0), _pairs(spec.ys, 0)
+        xs, ys = [v.as_integer_ratio() for v in spec.xs], [v.as_integer_ratio() for v in spec.ys]
         (a, q), (r, s) = xs[0], ys[0]
         d = math.lcm(q, s)
-        factors = [(min(a * (d // q), r * (d // s)), d)]
-        for (a0, q0), (a1, q1), (r0, s0), (r1, s1) in zip(xs, xs[1:], ys, ys[1:]):
+        factors, y_descent = [(min(a * (d // q), r * (d // s)), d)], 0
+        for k, ((a0, q0), (a1, q1), (r0, s0), (r1, s1)) in enumerate(zip(xs, xs[1:], ys, ys[1:]), 1):
             d = math.lcm(q0, q1, s0, s1)
             x0, x1, y0, y1 = a0 * (d // q0), a1 * (d // q1), r0 * (d // s0), r1 * (d // s1)
+            if x0 > x1:
+                raise UnsortedInputError(f"x vector is not ascending at position {k}")
+            if y0 > y1 and not y_descent:
+                y_descent = k
             factors.append((min(x1, y1) - min(x1, y0) - min(x0, y1) + min(x0, y0), d))
+        if y_descent:
+            raise UnsortedInputError(f"y vector is not ascending at position {y_descent}")
         spec._factors = factors
     return spec._factors
 
@@ -198,7 +187,6 @@ def det_closed(spec: MinSpec) -> Fraction:
     """Closed-form determinant for x ascending and y ascending (the x/y swap
     of normalize() is not needed here). Product of :func:`_factors`, as one
     Fraction."""
-    _require_sorted(spec)
     factors = _factors(spec)
     return Fraction(math.prod(f for f, _ in factors), math.prod(d for _, d in factors))
 
@@ -208,5 +196,4 @@ def det_zero_predicate(spec: MinSpec) -> bool:
     scanning the closed form's factors for a zero. Interleavings that are
     insufficiently balanced (say, three y's between consecutive x's) make a
     factor collapse."""
-    _require_sorted(spec)
     return any(f == 0 for f, _ in _factors(spec))

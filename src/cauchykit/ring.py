@@ -34,7 +34,8 @@ in this module.
 The package's record classes, the two ring contexts among them, are
 written out on one private base, :class:`_Record`, which gives field-wise
 ``==`` and ``repr``, and its frozen subclass :class:`_Frozen`. No record is
-a dataclass, so an import of the package runs no code generation.
+a dataclass, so an import of the package runs no code generation. Both
+kinds of spec check their two parameter vectors with :func:`_vectors`.
 """
 
 from __future__ import annotations
@@ -256,6 +257,17 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def _vectors(xs, ys, coerce) -> tuple[tuple, tuple]:
+    """The parameter vectors of a spec, each a tuple of ``coerce``d scalars,
+    checked to be nonempty and of one length."""
+    xs, ys = tuple(map(coerce, xs)), tuple(map(coerce, ys))
+    if not xs:
+        raise ValueError("need at least one parameter in each vector")
+    if len(xs) != len(ys):
+        raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
+    return xs, ys
 
 
 class _Frozen(_Record):

@@ -26,6 +26,7 @@ import random
 import re
 import reprlib
 from fractions import Fraction
+from itertools import accumulate
 
 from . import cauchy, minmat
 from .densela import Matrix, WeightVectors, border_with_ones, lemma_ab_check, matrix_to_json
@@ -51,7 +52,13 @@ _MAX_SCALAR_TEXT = 4300  # characters, and the size of a decimal exponent
 # 2**24 holds a spec of 1000 + 1000 scalars of the full 4300 characters each.
 # (An inline spec is an argv string, which the OS already bounds.)
 _MAX_SPEC_TEXT = 2**24
+# Spec text nests at most this deep, counted before json parses it: json's own
+# limit is its recursion, which differs between Python versions. A valid spec
+# nests 2 deep.
+_MAX_SPEC_DEPTH = 64
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_NOT_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^"\[\]{}]+', re.DOTALL)  # strings, then the rest
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def _bounded_scalar_text(text: str) -> str:
@@ -60,6 +67,17 @@ def _bounded_scalar_text(text: str) -> str:
     m = _EXPONENT.search(text)
     if m and abs(int(m.group(1))) > _MAX_SCALAR_TEXT:
         raise SpecFormatError(f"decimal exponent beyond +-{_MAX_SCALAR_TEXT} in {reprlib.repr(text)}")
+    return text
+
+
+def _bounded_nesting(text: str) -> str:
+    """``text``, unless its brackets outside strings nest deeper than
+    _MAX_SPEC_DEPTH, found by one running sum with no recursion. Only a text
+    that opens with an array or object can nest: json reads any other as one
+    scalar before whatever follows it."""
+    if (text.lstrip(" \t\n\r")[:1] in ("[", "{")
+            and max(accumulate(map(_STEP.__getitem__, _NOT_BRACKET.sub("", text)))) > _MAX_SPEC_DEPTH):
+        raise SpecFormatError(f"spec nests deeper than {_MAX_SPEC_DEPTH} levels")
     return text
 
 

@@ -275,6 +275,31 @@ class TestInputErrors:
                 arg = "-"
             assert run(capsys, "det", arg, "--format", "text") == expected
 
+    @pytest.mark.parametrize("source", ("inline", "file", "stdin"))
+    def test_spec_nesting_is_bounded(self, capsys, tmp_path, monkeypatch, source):
+        # counted before json parses the text, so the line is the same on every Python; the
+        # refusal comes before the ring is parsed, and brackets inside a string do not count
+        assert verify._MAX_SPEC_DEPTH == 64
+        deep = (EXIT_INPUT, "", "error: spec nests deeper than 64 levels\n")
+        bogus = (EXIT_INPUT, "", "error: ring must be \"rational\" or \"prime:P\", got 'bogus'\n")
+        for depth, expected, with_bogus_ring in (
+                (64, (EXIT_INPUT, "", "error: unusable spec: cannot use list as an exact rational\n"), bogus),
+                (65, deep, deep), (3000, deep, deep)):
+            text = '{"xs":' + "[" * (depth - 1) + "]" * (depth - 1) + ',"ys":["1"]}'  # `depth` deep
+            for ring, want in (((), expected), (("--ring", "bogus"), with_bogus_ring)):
+                if source == "file":
+                    (tmp_path / "spec.json").write_text(text)
+                    arg = str(tmp_path / "spec.json")
+                elif source == "stdin":
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                    arg = "-"
+                else:
+                    arg = text
+                assert run(capsys, "det", arg, *ring) == want, (depth, ring)
+        text = '{"xs":["' + "[" * 3000 + '"],"ys":["1"]}'
+        code, _, err = run(capsys, "det", text)
+        assert code == EXIT_INPUT and err.startswith("error: unusable spec: Invalid literal for Fraction")
+
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_spec_file_exits_2(self):
         proc = subprocess.run([sys.executable, "-m", "cauchykit", "det", "/dev/zero"],

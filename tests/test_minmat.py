@@ -86,6 +86,8 @@ class TestNormalize:
             s = normalize(spec)
             public = SortedMinSpec(s.xs, s.ys, s.swapped)
             assert type(s) is SortedMinSpec
+            # the constructor's ascending check makes the factors, so both keep them from the start
+            assert s._factors is not None and public._factors is not None
             for name in ("xs", "ys", "swapped", "_sorted", "_factors"):
                 assert getattr(s, name) == getattr(public, name), name
             assert all(type(v) is Q for v in s.xs + s.ys)
