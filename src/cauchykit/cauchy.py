@@ -57,7 +57,7 @@ import weakref
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .densela import Matrix
+from .matrix import Matrix
 from .ring import (CauchyKitError, FpElement, NotInvertibleError, PrimeField, RingContext,
                    Scalar, _Frozen, _inv_all_mod, _inv_rows_mod, _vectors, _wrap)
 
@@ -160,12 +160,13 @@ def _prod(vs, p: int) -> int:
     return acc % p if p else acc
 
 
-def _sums(xs: list, ys: list, p: int) -> list[list]:
-    """sums[i][j], the numerator of x_i + y_j over q_i s_j."""
+def _sums(xs: list, ys: list, p: int):
+    """Row i of sums[i][j], the numerator of x_i + y_j over q_i s_j, for each
+    i in turn: a caller that keeps no row holds one at a time."""
     if p:
         rs = [r for r, _ in ys]
-        return [[a + r for r in rs] for a, _ in xs]
-    return [[a * s + r * q for r, s in ys] for a, q in xs]
+        return ([a + r for r in rs] for a, _ in xs)
+    return ([a * s + r * q for r, s in ys] for a, q in xs)
 
 
 def _uppers(us: list, p: int) -> list:
@@ -179,8 +180,10 @@ def _uppers(us: list, p: int) -> list:
 def _keep(spec: CauchySpec, xs: list, ys: list, p: int) -> tuple:
     """Keep on the spec, and return, the determinant's O(n) products: the
     row products A_j = prod(sums[j]), the batch inversion's ``_rows`` when
-    one has run, and each vector's upper halves. The first of det_closed
-    and inverse_closed fills them; racing threads compute equal ones."""
+    one has run, else each row of pair sums made and multiplied out in turn,
+    so no n x n table is held; and each vector's upper halves. The first of
+    det_closed and inverse_closed fills them; racing threads compute equal
+    ones."""
     rows = spec._rows or [_prod(row, p) for row in _sums(xs, ys, p)]
     spec._kept = (rows, _uppers(xs, p), _uppers(ys, p))
     return spec._kept
@@ -200,7 +203,7 @@ def build(spec: CauchySpec) -> Matrix:
     n = spec.n
     if not p:
         return Matrix._of(n, n, _entries(spec, Fraction), spec.ctx)
-    vals, spec._rows = _inv_rows_mod(_sums(xs, ys, p), p)
+    vals, spec._rows = _inv_rows_mod(list(_sums(xs, ys, p)), p)
     m = Matrix._of(n, n, _wrap(vals, p), spec.ctx)
     spec._built = weakref.ref(m)
     return m
@@ -266,7 +269,7 @@ def inverse_entry_closed(spec: CauchySpec, i: int, j: int) -> Scalar:
     xs, ys, p = spec._int_pairs
     x, y = xs[j], ys[i]
     (a, q), (r, s) = x, y
-    row, col = _sums([x], ys, p)[0], _sums([y], xs, p)[0]
+    row, col = next(_sums([x], ys, p)), next(_sums([y], xs, p))
     num = _prod(row + col, p)
     den = _prod([a * t - c * q for c, t in xs[:j] + xs[j + 1:]]
                 + [r * t - c * s for c, t in ys[:i] + ys[i + 1:]] + [q, s, row[i]], p)
@@ -297,7 +300,7 @@ def inverse_closed(spec: CauchySpec) -> Matrix:
     if m is not None:
         vals = [e.value for e in m.entries]
     elif p:
-        vals, spec._rows = _inv_rows_mod(_sums(xs, ys, p), p)
+        vals, spec._rows = _inv_rows_mod(list(_sums(xs, ys, p)), p)
     rows, ux, uy = spec._kept or _keep(spec, xs, ys, p)
     dx, dy = _scale_dens(xs, ux, p), _scale_dens(ys, uy, p)
     if p:

@@ -32,7 +32,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .densela import Matrix
+from .matrix import Matrix
 from .ring import CauchyKitError, FpElement, NotInvertibleError, RationalRing, UnorderedRingError, _vectors
 
 _RATIONAL = RationalRing()

@@ -8,6 +8,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction as Q
 
@@ -548,20 +549,21 @@ class TestOnePassOverThePairSums:
         """Count the pair-sum tables formed, the grouped sweeps run and the
         rows of a pair-sum table multiplied out one by one."""
         counts = {"sums": 0, "sweeps": 0, "row_prods": 0}
-        tables = []
+        rows = []  # every pair-sum row yielded, kept so that identity tells them apart
         pair_sums, sweep, prod = cauchy._sums, cauchy._inv_rows_mod, cauchy._prod
 
         def counting_sums(*args):
             counts["sums"] += 1
-            tables.append(pair_sums(*args))
-            return tables[-1]
+            for row in pair_sums(*args):
+                rows.append(row)
+                yield row
 
         def counting_sweep(rows, p):
             counts["sweeps"] += 1
             return sweep(rows, p)
 
         def counting_prod(vs, p):
-            counts["row_prods"] += any(vs is row for table in tables for row in table)
+            counts["row_prods"] += any(vs is row for row in rows)
             return prod(vs, p)
 
         monkeypatch.setattr(cauchy, "_sums", counting_sums)
@@ -619,6 +621,24 @@ class TestOnePassOverThePairSums:
         assert det_closed(spec) == m.det_fast()
         assert inverse_closed(spec) == m.inverse()
         assert spec._rows is None
+
+
+class TestScalarFormsHoldOneRow:
+    """Without a build, det_closed forms the pair sums one row at a time and
+    keeps only the row products, so adjugate_entry_sum_closed and
+    bordered_det_closed, which run on it, hold O(n) memory, not the n x n
+    table."""
+
+    def test_det_closed_peak_memory_stays_under_a_mebibyte_at_n_600(self):
+        n = 600
+        spec = CauchySpec(range(1, n + 1), range(n + 1, 2 * n + 1), PrimeField(2**61 - 1))
+        tracemalloc.start()
+        try:
+            det_closed(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"det_closed peaked at {peak / 2**20:.1f} MiB"
 
 
 def unreduced_inverse(spec):

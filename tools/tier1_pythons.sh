@@ -1,8 +1,10 @@
 #!/bin/sh
 # Run the Tier-1 suite under each Python interpreter named on the command
 # line, and print each one's version with its pytest summary line (and the
-# id of each failed test). Every interpreter runs; the script exits 1 if any
-# run had a failure or an error, else 0.
+# id of each failed test), then the five digests of tools/digests.sh under
+# the same interpreter. Every interpreter runs; the script exits 1 if any
+# run had a failure or an error, or if any interpreter's digests differ from
+# the first one's, else 0.
 #
 #     tools/tier1_pythons.sh ~/.pyenv/versions/3.12.1/bin/python ~/.pyenv/versions/3.13.0/bin/python
 #
@@ -38,11 +40,20 @@ while todo:  # each distribution with the requirements that apply to the host, w
 PY
 
 status=0
+first=
 for py in "$@"; do
     version=$("$py" -c 'import platform; print(platform.python_version())')
     log=$(cd "$repo" && PYTHONPATH="src:$deps" PYTHONPYCACHEPREFIX="$deps/pycache" \
         "$py" -m pytest -q --continue-on-collection-errors 2>&1) || status=1
     echo "$version: $(printf '%s\n' "$log" | tail -n 1)"
     printf '%s\n' "$log" | grep -E '^(FAILED|ERROR) ' | cut -c1-160 | sed 's/^/    /' || true
+    digests=$("$repo/tools/digests.sh" "$py" "$repo" 2>&1) || status=1
+    printf '%s\n' "$digests" | sed 's/^/    digest /'
+    if [ -z "$first" ]; then
+        first=$digests first_version=$version
+    elif [ "$digests" != "$first" ]; then
+        echo "    digests differ from $first_version's"
+        status=1
+    fi
 done
 exit $status
