@@ -20,16 +20,19 @@ the oracle does not share the arithmetic it checks. For the same reason
 every FpElement this module makes goes through the public class call,
 never the closed forms' bulk wrap (``ring._wrap``).
 
-The division-free routes work on an integer lift (:func:`_lift`) and lower
-each result through the ring once. :meth:`Matrix.charpoly` and the AB trace
-lemma scale the whole matrix by the lcm D of all its denominators;
-:meth:`Matrix.det_berkowitz`, :meth:`Matrix.adjugate` and
-:meth:`Matrix.adjugate_entry_sum` scale row i by the lcm r_i of its own
-denominators, R = diag(r_i), which keeps the lifted entries small when the
-denominators are coprime. A row scaling is not a similarity, so the
-characteristic polynomial keeps the whole-matrix lift. Over F_p the lift
-is the residues, and Berkowitz, the Horner products of
-:meth:`Matrix.adjugate` and the Krylov vectors of
+The division-free routes and the sums work on an integer lift
+(:func:`_lift`) and lower each result through the ring once (:func:`_lower`).
+:meth:`Matrix.charpoly` and the AB trace lemma scale the whole matrix by the
+lcm D of all its denominators; :meth:`Matrix.det_berkowitz`,
+:meth:`Matrix.adjugate` and :meth:`Matrix.adjugate_entry_sum` scale row i by
+the lcm r_i of its own denominators, R = diag(r_i), which keeps the lifted
+entries small when the denominators are coprime. A row scaling is not a
+similarity, so the characteristic polynomial keeps the whole-matrix lift.
+Those four methods take the lift and its Berkowitz polynomial from one,
+:meth:`Matrix._row_lift`. :meth:`Matrix.entry_sum` and
+:meth:`Matrix.column_sum` (:func:`_sum`) lift their entries as one row and
+add the integers. Over F_p the lift is the residues, and Berkowitz, the
+Horner products of :meth:`Matrix.adjugate` and the Krylov vectors of
 :meth:`Matrix.adjugate_entry_sum` reduce each dot product mod p.
 
 The matrix container, :class:`~cauchykit.matrix.Matrix`, lives in
@@ -69,13 +72,11 @@ def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
 
 
 def _sum(vs, ctx: RingContext) -> Scalar:
-    """``sum(vs, ctx.zero)`` for the scalars ``vs`` in one step: over Q the
-    numerators brought over the lcm of the denominators and one Fraction,
-    over F_p the residues added and one FpElement."""
-    if isinstance(ctx, PrimeField):
-        return FpElement(sum(v.value for v in vs), ctx.p)
-    d = math.lcm(*(v.denominator for v in vs))
-    return Fraction(sum(v.numerator * (d // v.denominator) for v in vs), d)
+    """``sum(vs, ctx.zero)`` for the scalars ``vs`` in one step: their
+    integer lift as one row (:func:`_lift`), added and lowered once over its
+    scale, so one Fraction or FpElement is made."""
+    (row,), (d,), _ = _lift([vs], ctx)
+    return _lower(ctx, sum(row), d)
 
 
 def _dot(u, v, p: int = 0):

@@ -178,19 +178,20 @@ class Matrix:
 
     def charpoly(self) -> list:
         """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
-        by Berkowitz's algorithm: no division, valid for singular A."""
-        self._require_square("charpoly")
-        la = _oracle()
-        a, r, p = la._lift(self.to_rows(), self.ctx)
-        return [la._lower(self.ctx, c, r[0] ** k) for k, c in enumerate(la._berkowitz(a, p))]
+        by Berkowitz's algorithm: no division, valid for singular A. It runs
+        on the whole-matrix lift DA, whose coefficients are D^k c_k(A): a row
+        scaling is not a similarity."""
+        _, (d, *_), c, _ = self._row_lift("charpoly", by_row=False)
+        return [_oracle()._lower(self.ctx, ck, d ** k) for k, ck in enumerate(c)]
 
-    def _row_lift(self, what: str) -> tuple[list[list], list, list, int]:
-        """(RA, r, the characteristic polynomial of RA, p) for the row lift
-        R = diag(r) and modulus p of :func:`cauchykit.densela._lift`; ``what``
-        names the caller in a shape error."""
+    def _row_lift(self, what: str, by_row: bool = True) -> tuple[list[list], list, list, int]:
+        """(RA, r, the characteristic polynomial of RA, p) for the lift
+        R = diag(r) and modulus p of :func:`cauchykit.densela._lift`: the
+        row lift, or with ``by_row`` false the whole-matrix lift, r_i = D;
+        ``what`` names the caller in a shape error."""
         self._require_square(what)
         la = _oracle()
-        a, r, p = la._lift(self.to_rows(), self.ctx, by_row=True)
+        a, r, p = la._lift(self.to_rows(), self.ctx, by_row)
         return a, r, la._berkowitz(a, p), p
 
     def det_berkowitz(self) -> Scalar:

@@ -56,9 +56,16 @@ _MAX_SPEC_TEXT = 2**24
 # limit is its recursion, which differs between Python versions. A valid spec
 # nests 2 deep.
 _MAX_SPEC_DEPTH = 64
+# Spec text opens at most this many arrays and objects, counted before json
+# parses it: json builds every one it reads, so 400,000 "[1]" take about 40 MiB
+# before a check can refuse the first. A valid spec opens at most 4.
+_MAX_SPEC_CONTAINERS = 1024
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-_NOT_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^"\[\]{}]+', re.DOTALL)  # strings, then the rest
-_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+# What the bracket scan skips: all of a text that opens with neither an array
+# nor an object, which json reads as one scalar before whatever follows it,
+# and every string, closed or not.
+_SKIPPED = re.compile(r'\A(?![ \t\n\r]*[\[{]).*|"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}  # a bracket's byte -> its depth change
 
 
 def _bounded_scalar_text(text: str) -> str:
@@ -72,12 +79,15 @@ def _bounded_scalar_text(text: str) -> str:
 
 def _bounded_nesting(text: str) -> str:
     """``text``, unless its brackets outside strings nest deeper than
-    _MAX_SPEC_DEPTH, found by one running sum with no recursion. Only a text
-    that opens with an array or object can nest: json reads any other as one
-    scalar before whatever follows it."""
-    if (text.lstrip(" \t\n\r")[:1] in ("[", "{")
-            and max(accumulate(map(_STEP.__getitem__, _NOT_BRACKET.sub("", text)))) > _MAX_SPEC_DEPTH):
+    _MAX_SPEC_DEPTH, found by one running sum with no recursion, or else open
+    more than _MAX_SPEC_CONTAINERS arrays and objects, counted on the same
+    brackets. The brackets are kept as one byte each, so a text of a million
+    containers costs a few MiB here and none in json."""
+    brackets = bytes(filter(_STEP.__contains__, _SKIPPED.sub("", text).encode("ascii", "ignore")))
+    if brackets and max(accumulate(map(_STEP.__getitem__, brackets))) > _MAX_SPEC_DEPTH:
         raise SpecFormatError(f"spec nests deeper than {_MAX_SPEC_DEPTH} levels")
+    if brackets.count(b"[") + brackets.count(b"{") > _MAX_SPEC_CONTAINERS:
+        raise SpecFormatError(f"spec opens more than {_MAX_SPEC_CONTAINERS} arrays and objects")
     return text
 
 

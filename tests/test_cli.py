@@ -275,17 +275,28 @@ class TestInputErrors:
                 arg = "-"
             assert run(capsys, "det", arg, "--format", "text") == expected
 
+    @staticmethod
+    def _wide(inner: int, depth: int = 1) -> str:
+        """A spec whose xs holds ``inner`` lists nested ``depth`` deep: it
+        nests depth + 2 deep and opens inner * depth + 3 arrays and objects."""
+        return '{"xs":[' + ",".join(["[" * depth + "1" + "]" * depth] * inner) + '],"ys":["1"]}'
+
     @pytest.mark.parametrize("source", ("inline", "file", "stdin"))
     def test_spec_nesting_is_bounded(self, capsys, tmp_path, monkeypatch, source):
         # counted before json parses the text, so the line is the same on every Python; the
-        # refusal comes before the ring is parsed, and brackets inside a string do not count
-        assert verify._MAX_SPEC_DEPTH == 64
+        # refusal comes before the ring is parsed, and brackets inside a string do not count.
+        # The arrays and objects are counted on the same brackets after the depth, so a spec both
+        # too deep and too wide reads as too deep
+        assert (verify._MAX_SPEC_DEPTH, verify._MAX_SPEC_CONTAINERS) == (64, 1024)
         deep = (EXIT_INPUT, "", "error: spec nests deeper than 64 levels\n")
+        wide = (EXIT_INPUT, "", "error: spec opens more than 1024 arrays and objects\n")
+        unusable = (EXIT_INPUT, "", "error: unusable spec: cannot use list as an exact rational\n")
         bogus = (EXIT_INPUT, "", "error: ring must be \"rational\" or \"prime:P\", got 'bogus'\n")
-        for depth, expected, with_bogus_ring in (
-                (64, (EXIT_INPUT, "", "error: unusable spec: cannot use list as an exact rational\n"), bogus),
-                (65, deep, deep), (3000, deep, deep)):
-            text = '{"xs":' + "[" * (depth - 1) + "]" * (depth - 1) + ',"ys":["1"]}'  # `depth` deep
+        nested = {d: '{"xs":' + "[" * (d - 1) + "]" * (d - 1) + ',"ys":["1"]}' for d in (64, 65, 3000)}  # d deep
+        for text, expected, with_bogus_ring in (
+                (nested[64], unusable, bogus), (nested[65], deep, deep), (nested[3000], deep, deep),
+                (self._wide(1021), unusable, bogus), (self._wide(1022), wide, wide),
+                (self._wide(400_000), wide, wide), (self._wide(1022, depth=70), deep, deep)):
             for ring, want in (((), expected), (("--ring", "bogus"), with_bogus_ring)):
                 if source == "file":
                     (tmp_path / "spec.json").write_text(text)
@@ -295,10 +306,40 @@ class TestInputErrors:
                     arg = "-"
                 else:
                     arg = text
-                assert run(capsys, "det", arg, *ring) == want, (depth, ring)
+                assert run(capsys, "det", arg, *ring) == want, (text[:80], len(text), ring)
         text = '{"xs":["' + "[" * 3000 + '"],"ys":["1"]}'
         code, _, err = run(capsys, "det", text)
         assert code == EXIT_INPUT and err.startswith("error: unusable spec: Invalid literal for Fraction")
+
+    # Starts argv[2:] with argv[1] as its stdin and prints [exit code, stderr, peak RSS in KiB].
+    # Linux counts in a child's peak RSS the memory of the process that started it, so the CLI is
+    # started from this small process, not from the test process.
+    PEAK_RSS = ("import json, resource, subprocess, sys\n"
+                "with open(sys.argv[1], 'rb') as fin:\n"
+                "    proc = subprocess.run(sys.argv[2:], stdin=fin, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+                "print(json.dumps([proc.returncode, proc.stderr.decode(),\n"
+                "                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads a child's peak RSS in KiB")
+    @pytest.mark.parametrize("source", ("file", "stdin"))
+    def test_wide_spec_is_refused_in_little_memory(self, tmp_path, source):
+        # 400,000 inner lists, 1.6 M characters (too long for one argv string): json would build
+        # every list before a check could refuse one. The CLI's peak RSS stays within 8 MiB of its
+        # peak on a valid spec
+        path = tmp_path / "spec.json"
+
+        def peak(text):
+            path.write_text(text)
+            argv = [sys.executable, "-m", "cauchykit", "det", "-" if source == "stdin" else str(path)]
+            proc = subprocess.run([sys.executable, "-c", self.PEAK_RSS, str(path), *argv], capture_output=True,
+                                  env=cli_env(), check=True, timeout=60)
+            return json.loads(proc.stdout)
+
+        code, err, valid_kib = peak(EXAMPLE)
+        assert (code, err) == (EXIT_OK, "")
+        code, err, wide_kib = peak(self._wide(400_000))
+        assert (code, err) == (EXIT_INPUT, "error: spec opens more than 1024 arrays and objects\n")
+        assert wide_kib - valid_kib <= 8 * 1024, (valid_kib, wide_kib)
 
     @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
     def test_endless_spec_file_exits_2(self):

@@ -93,6 +93,7 @@ SPECS = {
     "long-text": _spec(xs=["1" * 4301], ys=["1"]),
     "long-int": '{"xs":[' + "1" * 5000 + '],"ys":["1"]}',
     "deep": '{"xs":' + "[" * 3000 + "]" * 3000 + ',"ys":["1"]}',
+    "wide": '{"xs":[' + ",".join(["[1]"] * 1022) + '],"ys":["1"]}',  # 1025 arrays and objects
     "malformed": '{"xs":["1"],',
     "array": "[1]",
     "string": '"abc"',

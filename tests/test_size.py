@@ -15,7 +15,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cauchykit"
-BOUND = 1476
+BOUND = 1475
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
           tokenize.ENCODING, tokenize.ENDMARKER}
 
