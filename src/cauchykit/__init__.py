@@ -10,11 +10,14 @@ The subpackages:
 * :mod:`cauchykit.canary` -- float inversion as an ill-conditioning canary.
 * :mod:`cauchykit.verify` / :mod:`cauchykit.cli` -- reports, JSON, CLI.
 
-``import cauchykit`` loads ``ring``, ``matrix``, ``cauchy`` and ``minmat``:
-the closed forms and their container, and no oracle code. The oracle layer,
-``densela``, loads on the first oracle method called on a :class:`Matrix`,
-or with ``verify`` and the CLI, which import it; ``canary`` loads on its
-own import.
+``import cauchykit`` loads ``ring``, ``matrix`` and ``cauchy``: the Cauchy
+closed forms and their container, and no min-matrix or oracle code.
+``minmat`` loads the first time one of its three exported names
+(:class:`MinSpec`, :class:`SortedMinSpec`, :class:`UnsortedInputError`) is
+read from the package, or with ``verify`` and the CLI, which import it. The
+oracle layer, ``densela``, loads on the first oracle method called on a
+:class:`Matrix`, or with ``verify`` and the CLI as well; ``canary`` loads on
+its own import.
 """
 
 from .ring import (
@@ -28,7 +31,6 @@ from .ring import (
 )
 from .matrix import Matrix, ShapeError, SizeLimitError, WeightVectors
 from .cauchy import CauchySpec, InvertibilityVerdict, NonInvertiblePairSumError
-from .minmat import MinSpec, SortedMinSpec, UnsortedInputError
 
 __all__ = [
     "CauchyKitError",
@@ -51,3 +53,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load ``minmat`` on the first read of one of its exported names (PEP 562),
+    and keep the name here so that later reads skip this hook."""
+    if name not in ("MinSpec", "SortedMinSpec", "UnsortedInputError"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import minmat
+    value = globals()[name] = getattr(minmat, name)
+    return value
+
+
+def __dir__():
+    """The package's names, with every name of ``__all__`` before it is loaded."""
+    return sorted({*globals(), *__all__})

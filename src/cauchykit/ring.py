@@ -259,15 +259,22 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-def _vectors(xs, ys, coerce) -> tuple[tuple, tuple]:
-    """The parameter vectors of a spec, each a tuple of ``coerce``d scalars,
-    checked to be nonempty and of one length."""
-    xs, ys = tuple(map(coerce, xs)), tuple(map(coerce, ys))
+def _lengths(xs, ys) -> None:
+    """Check that two parameter vectors are nonempty and of one length. Specs
+    check this before any scalar, so a mismatched spec is refused without
+    coercing its entries."""
     if not xs:
         raise ValueError("need at least one parameter in each vector")
     if len(xs) != len(ys):
         raise ValueError(f"xs has {len(xs)} entries but ys has {len(ys)}")
-    return xs, ys
+
+
+def _vectors(xs, ys, coerce) -> tuple[tuple, tuple]:
+    """The parameter vectors of a spec, each a tuple of ``coerce``d scalars,
+    checked by :func:`_lengths` before the first is coerced."""
+    xs, ys = tuple(xs), tuple(ys)
+    _lengths(xs, ys)
+    return tuple(map(coerce, xs)), tuple(map(coerce, ys))
 
 
 class _Frozen(_Record):

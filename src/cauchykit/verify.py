@@ -36,6 +36,7 @@ from .ring import (
     PrimeField,
     RationalRing,
     RingContext,
+    _lengths,
     _Record,
 )
 
@@ -166,6 +167,10 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
         raise SpecFormatError(f"spec is missing {exc}") from exc
     if not (isinstance(xs, list) and isinstance(ys, list)) or any(isinstance(v, bool) for v in xs + ys):
         raise SpecFormatError("xs and ys must be JSON arrays of numbers or strings")
+    try:
+        _lengths(xs, ys)
+    except ValueError as exc:
+        raise SpecFormatError(f"unusable spec: {exc}") from exc
     for v in xs + ys:
         if isinstance(v, str):
             _bounded_scalar_text(v)
@@ -181,7 +186,7 @@ def spec_from_json(obj: dict, default_ring: RingContext | None = None, negate_ys
             raise SpecFormatError("the minus convention applies to cauchy specs only")
     elif kind != "cauchy":
         raise SpecFormatError(f'kind must be "cauchy" or "min", got {reprlib.repr(kind)}')
-    # bad scalar text, "1/0", empty or mismatched vectors
+    # bad scalar text or "1/0"
     try:
         if kind == "min":
             return minmat.MinSpec(xs, ys)

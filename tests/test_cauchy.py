@@ -80,6 +80,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             CauchySpec([1, 2], [3], RING)
 
+    @pytest.mark.parametrize("xs, ys, ctx", (([1, "1/0"], [3], RING), ([1], [3, "x"], F101)))
+    def test_lengths_are_compared_before_any_scalar(self, xs, ys, ctx):
+        # the extra entry cannot be coerced, and is never read
+        with pytest.raises(ValueError, match=f"^xs has {len(xs)} entries but ys has {len(ys)}$"):
+            CauchySpec(xs, ys, ctx)
+
+    def test_any_iterable_of_parameters(self):
+        spec = CauchySpec(range(1, 3), (y for y in (3, 5)), RING)
+        assert (spec.xs, spec.ys) == ((1, 2), (3, 5))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CauchySpec([], [], RING)

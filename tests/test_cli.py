@@ -226,6 +226,17 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert len(err.rstrip("\n")) <= 200
 
+    @pytest.mark.parametrize("spec, line", (
+        ('{"xs":["1/0","1/0","1/0"],"ys":["1"]}', "xs has 3 entries but ys has 1"),
+        ('{"kind":"min","xs":["1"],"ys":["2","two"]}', "xs has 1 entries but ys has 2"),
+        ('{"ring":{"prime":101},"xs":["1e999999999","2"],"ys":["1"]}', "xs has 2 entries but ys has 1"),
+        ('{"xs":[],"ys":["1/0"]}', "need at least one parameter in each vector"),
+    ))
+    def test_lengths_are_compared_before_any_scalar(self, capsys, spec, line):
+        # a spec with more than one fault names its vector lengths first
+        command = "min-invsum" if '"min"' in spec else "det"
+        assert run(capsys, command, spec) == (EXIT_INPUT, "", f"error: unusable spec: {line}\n")
+
     @pytest.mark.parametrize("spec", ["[1]", '"abc"', "42"])
     def test_non_object_spec_says_so(self, capsys, spec):
         code, out, err = run(capsys, "det", spec)
@@ -286,16 +297,18 @@ class TestInputErrors:
         # counted before json parses the text, so the line is the same on every Python; the
         # refusal comes before the ring is parsed, and brackets inside a string do not count.
         # The arrays and objects are counted on the same brackets after the depth, so a spec both
-        # too deep and too wide reads as too deep
+        # too deep and too wide reads as too deep. A wide spec within the bounds has 1021 xs and one
+        # y, and the lengths are compared before any scalar is read
         assert (verify._MAX_SPEC_DEPTH, verify._MAX_SPEC_CONTAINERS) == (64, 1024)
         deep = (EXIT_INPUT, "", "error: spec nests deeper than 64 levels\n")
         wide = (EXIT_INPUT, "", "error: spec opens more than 1024 arrays and objects\n")
         unusable = (EXIT_INPUT, "", "error: unusable spec: cannot use list as an exact rational\n")
+        mismatched = (EXIT_INPUT, "", "error: unusable spec: xs has 1021 entries but ys has 1\n")
         bogus = (EXIT_INPUT, "", "error: ring must be \"rational\" or \"prime:P\", got 'bogus'\n")
         nested = {d: '{"xs":' + "[" * (d - 1) + "]" * (d - 1) + ',"ys":["1"]}' for d in (64, 65, 3000)}  # d deep
         for text, expected, with_bogus_ring in (
                 (nested[64], unusable, bogus), (nested[65], deep, deep), (nested[3000], deep, deep),
-                (self._wide(1021), unusable, bogus), (self._wide(1022), wide, wide),
+                (self._wide(1021), mismatched, bogus), (self._wide(1022), wide, wide),
                 (self._wide(400_000), wide, wide), (self._wide(1022, depth=70), deep, deep)):
             for ring, want in (((), expected), (("--ring", "bogus"), with_bogus_ring)):
                 if source == "file":

@@ -50,6 +50,11 @@ class TestBuild:
         with pytest.raises(TypeError):
             MinSpec([0.5], [1])
 
+    @pytest.mark.parametrize("xs, ys", (([1, 0.5], [2]), ([1], [2, "1/0"])))
+    def test_lengths_are_compared_before_any_scalar(self, xs, ys):
+        with pytest.raises(ValueError, match=f"^xs has {len(xs)} entries but ys has {len(ys)}$"):
+            MinSpec(xs, ys)
+
     def test_repr(self):
         assert repr(MinSpec([Q(5, 2), -1], [2, 0])) == "MinSpec(xs=['5/2', '-1'], ys=['2', '0'])"
 
