@@ -22,28 +22,36 @@ never the closed forms' bulk wrap (``ring._wrap``).
 
 The division-free routes and the sums work on an integer lift
 (:func:`_lift`) and lower each result through the ring once (:func:`_lower`).
-:meth:`Matrix.charpoly` and the AB trace lemma scale the whole matrix by the
-lcm D of all its denominators; :meth:`Matrix.det_berkowitz`,
-:meth:`Matrix.adjugate` and :meth:`Matrix.adjugate_entry_sum` scale row i by
-the lcm r_i of its own denominators, R = diag(r_i), which keeps the lifted
-entries small when the denominators are coprime. A row scaling is not a
-similarity, so the characteristic polynomial keeps the whole-matrix lift.
-Those four methods take the lift and its Berkowitz polynomial from one,
-:meth:`Matrix._row_lift`. :meth:`Matrix.entry_sum` and
-:meth:`Matrix.column_sum` (:func:`_sum`) lift their entries as one row and
-add the integers. Over F_p the lift is the residues, and Berkowitz, the
-Horner products of :meth:`Matrix.adjugate` and the Krylov vectors of
-:meth:`Matrix.adjugate_entry_sum` reduce each dot product mod p.
+:func:`charpoly` and the AB trace lemma scale the whole matrix by the lcm D of
+all its denominators; :func:`det_berkowitz`, :func:`adjugate` and
+:func:`adjugate_entry_sum` scale row i by the lcm r_i of its own
+denominators, R = diag(r_i), which keeps the lifted entries small when the
+denominators are coprime. A row scaling is not a similarity, so the
+characteristic polynomial keeps the whole-matrix lift. Those four take the
+lift and its Berkowitz polynomial from one, :func:`_row_lift`.
+:meth:`Matrix.entry_sum` and :meth:`Matrix.column_sum` (:func:`_sum`) lift
+their entries as one row and add the integers. Over F_p the lift is the
+residues, and Berkowitz, the Horner products of :func:`adjugate` and the
+Krylov vectors of :func:`adjugate_entry_sum` reduce each dot product mod p.
 
-The matrix container, :class:`~cauchykit.matrix.Matrix`, lives in
-:mod:`cauchykit.matrix` with its errors and the AB lemma's
-:class:`~cauchykit.matrix.WeightVectors`; this module re-exports them. It is
-loaded on first use: ``import cauchykit`` and the closed forms do not load
-it, the first oracle method called on a matrix does, and so do
-:mod:`cauchykit.verify` and the CLI, which import its free routines.
-:class:`Matrix`'s oracle methods look each routine up on this module when
-they run, so a routine replaced here is the one they call. All indices are
-0-based.
+This module owns every oracle routine, and :mod:`cauchykit.matrix` owns the
+container. Each oracle method of :class:`~cauchykit.matrix.Matrix` is one
+statement that calls a function here: the one of the same name for
+:func:`det_fast`, :func:`det_cofactor`, :func:`det_berkowitz`,
+:func:`charpoly`, :func:`adjugate`, :func:`adjugate_entry_sum` and
+:func:`inverse`, :func:`matmul` for ``*`` and :func:`_sum` for the entry and
+column sums. These functions keep the guards (square shape, the cofactor
+size guard, one ring context) and fill the matrix's kept determinant and
+inverse (``_det``, ``_inv``). The method looks its function up on this module
+when it runs, so a routine replaced here is the one that runs.
+
+The container, :class:`~cauchykit.matrix.Matrix`, lives in
+:mod:`cauchykit.matrix` with its errors, the cofactor guard ``COFACTOR_MAX``
+and the AB lemma's :class:`~cauchykit.matrix.WeightVectors`; this module
+re-exports them. It is loaded on first use: ``import cauchykit`` and the
+closed forms do not load it, the first oracle method called on a matrix
+does, and so do :mod:`cauchykit.verify` and the CLI, which import its free
+routines. All indices are 0-based.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import operator
 from fractions import Fraction
 
 from .matrix import COFACTOR_MAX, Matrix, ShapeError, SizeLimitError, WeightVectors  # re-exported
-from .ring import ContextMismatchError, FpElement, PrimeField, RingContext, Scalar
+from .ring import ContextMismatchError, FpElement, NotInvertibleError, PrimeField, RingContext, Scalar
 
 
 def _det_expand(rows: list[list], ctx: RingContext) -> Scalar:
@@ -222,6 +230,120 @@ def _eliminate(a: Matrix, jordan: bool = False) -> tuple[Scalar, list | None]:
         det = Fraction(det_n, det_d)
         inv = [Fraction(v, d) for row in m for v, d in row[n:]] if jordan else None
     return det, inv
+
+
+def det_cofactor(a: Matrix) -> Scalar:
+    """Determinant of ``a`` by first-row Laplace expansion (:func:`_det_expand`).
+    Exponential; guarded at n <= ``COFACTOR_MAX`` (8)."""
+    a._require_square("det_cofactor")
+    if a.rows > COFACTOR_MAX:
+        raise SizeLimitError(f"cofactor expansion guarded at n <= {COFACTOR_MAX}, got n={a.rows}")
+    return _det_expand(a.to_rows(), a.ctx)
+
+
+def det_fast(a: Matrix) -> Scalar:
+    """Determinant of ``a`` by Gaussian elimination, first nonzero pivot per
+    column, on the raw integers of :func:`_eliminate` in either ring: one
+    Fraction or FpElement is made, for the result. It is kept on ``a``, and a
+    determinant already found by :func:`inverse` is returned as it is."""
+    a._require_square("det_fast")
+    if a._det is None:
+        a._det = _eliminate(a)[0]
+    return a._det
+
+
+def charpoly(a: Matrix) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
+    by Berkowitz's algorithm: no division, valid for singular A. It runs
+    on the whole-matrix lift DA, whose coefficients are D^k c_k(A): a row
+    scaling is not a similarity."""
+    _, (d, *_), c, _ = _row_lift(a, "charpoly", by_row=False)
+    return [_lower(a.ctx, ck, d ** k) for k, ck in enumerate(c)]
+
+
+def _row_lift(a: Matrix, what: str, by_row: bool = True) -> tuple[list[list], list, list, int]:
+    """(RA, r, the characteristic polynomial of RA, p) for the lift
+    R = diag(r) and modulus p of :func:`_lift`: the row lift, or with
+    ``by_row`` false the whole-matrix lift, r_i = D; ``what`` names the
+    caller in a shape error."""
+    a._require_square(what)
+    ra, r, p = _lift(a.to_rows(), a.ctx, by_row)
+    return ra, r, _berkowitz(ra, p), p
+
+
+def det_berkowitz(a: Matrix) -> Scalar:
+    """Determinant as (-1)^n c_n(RA) / det R on the row lift, a route
+    that shares nothing with elimination."""
+    _, r, c, _ = _row_lift(a, "det_berkowitz")
+    return _lower(a.ctx, (-1) ** a.rows * c[-1], math.prod(r))
+
+
+def adjugate(a: Matrix) -> Matrix:
+    """Adjugate by Cayley-Hamilton on the row lift: adj(RA) = (-1)^(n-1)
+    ((RA)^(n-1) + c_1 (RA)^(n-2) + ... + c_(n-1) I), evaluated by Horner,
+    and adj(A) = adj(RA) R / det R. For the 1x1 matrix this is [[1]].
+    Satisfies A * adj(A) = adj(A) * A = det(A) * I in any commutative
+    ring, singular A included. Over F_p each Horner step is reduced mod p,
+    so the entries stay below p instead of growing with n."""
+    ra, r, c, p = _row_lift(a, "adjugate")
+    n = a.rows
+    b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- RA B + c_k I
+    for k in range(1, n):
+        b = _matmul(ra, b, p)
+        for i in range(n):
+            b[i][i] = (b[i][i] + c[k]) % p if p else b[i][i] + c[k]
+    sign, scale = (-1) ** (n - 1), math.prod(r)
+    entries = [_lower(a.ctx, sign * e * rj, scale) for row in b for e, rj in zip(row, r)]
+    return Matrix._of(n, n, entries, a.ctx)
+
+
+def adjugate_entry_sum(a: Matrix) -> Scalar:
+    """1^T adj(A) 1 = 1^T adj(RA) r / det R = (-1)^(n-1) sum_{k<n}
+    c_(n-1-k) 1^T (RA)^k r / det R, from the characteristic polynomial of
+    the row lift and its Krylov vectors (RA)^k r: O(n^3) past the O(n^4)
+    polynomial, with no adjugate built. Over F_p each Krylov vector is
+    reduced mod p."""
+    ra, r, c, p = _row_lift(a, "adjugate_entry_sum")
+    n = a.rows
+    v, acc = r, 0  # v = (RA)^k r
+    for k in range(n):
+        acc += c[n - 1 - k] * sum(v)
+        v = [_dot(row, v, p) for row in ra]
+    return _lower(a.ctx, (-1) ** (n - 1) * acc, math.prod(r))
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse of ``a`` by Gauss-Jordan elimination on [A | I],
+    O(n^3), on the raw integers of :func:`_eliminate`: each entry becomes one
+    Fraction or FpElement at the end.
+
+    Raises NotInvertibleError (carrying the determinant) when the
+    determinant is not a unit. The inverse is kept on ``a``, and so is the
+    determinant, for :func:`det_fast`; a zero determinant already known
+    skips the run.
+    """
+    a._require_square("inverse")
+    if a._inv is None and a._det != 0:
+        a._det, inv = _eliminate(a, jordan=True)
+        if inv is not None:
+            a._inv = Matrix._of(a.rows, a.cols, inv, a.ctx)
+    if a._inv is None:
+        det = a._det
+        raise NotInvertibleError(det, f"matrix is singular: det = {a.ctx.render(det)}")
+    return a._inv
+
+
+def matmul(a: Matrix, b) -> Matrix:
+    """The product ``a * b`` of two matrices over one ring context, or
+    ``NotImplemented`` when ``b`` is not a :class:`Matrix`."""
+    if not isinstance(b, Matrix):
+        return NotImplemented
+    if a.ctx != b.ctx:
+        raise ContextMismatchError("matrix product across ring contexts")
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    prod = _matmul(a.to_rows(), b.to_rows())
+    return Matrix._of(a.rows, b.cols, [e for row in prod for e in row], a.ctx)
 
 
 def lemma_ab_check(a: Matrix, b: Matrix, w: WeightVectors) -> tuple[Scalar, Scalar]:

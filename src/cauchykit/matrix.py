@@ -2,24 +2,30 @@
 
 :class:`Matrix` is the package's one matrix type: the closed forms of
 :mod:`cauchykit.cauchy` and :mod:`cauchykit.minmat` return it, and the
-oracle layer, :mod:`cauchykit.densela`, checks them on it. This module
-imports only :mod:`cauchykit.ring`, so ``import cauchykit`` and every closed
-form load no oracle code. The oracle methods (the determinants, the inverse,
-the adjugate and its entry sum, the characteristic polynomial, the entry and
-column sums and the product) run the routines of :mod:`cauchykit.densela`,
-which :func:`_oracle` imports on the first such call. Each routine is looked
-up on that module when the method runs, so a routine replaced there is the
-one that runs. :mod:`cauchykit.densela` re-exports every name defined here.
+oracle layer, :mod:`cauchykit.densela`, checks them on it. This module owns
+the container: construction, indexing, rows and columns, shape, transpose,
+trace, equality, hashing and the rendering in ``repr``. It imports only
+:mod:`cauchykit.ring`, so ``import cauchykit`` and every closed form load and
+compile no oracle code.
+
+:mod:`cauchykit.densela` owns every oracle routine. Each oracle method here
+(the determinants, the inverse, the adjugate and its entry sum, the
+characteristic polynomial, the entry and column sums and the product) is one
+statement that calls the :mod:`cauchykit.densela` function of the same name
+(``matmul`` for ``*``, ``_sum`` for the sums), and :func:`_oracle` imports
+that module on the first such call. Each routine is looked up on that module
+when the method runs, so a routine replaced there is the one that runs.
+:mod:`cauchykit.densela` re-exports every name defined here, the cofactor
+guard ``COFACTOR_MAX`` included.
 
 Matrices are immutable. All indices are 0-based.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
-from .ring import CauchyKitError, ContextMismatchError, NotInvertibleError, RingContext, Scalar, _Frozen
+from .ring import CauchyKitError, RingContext, Scalar, _Frozen
 
 _densela = None
 
@@ -123,16 +129,8 @@ class Matrix:
         )
 
     def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("matrix product across ring contexts")
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        prod = _oracle()._matmul(self.to_rows(), other.to_rows())
-        return Matrix._of(self.rows, other.cols, [e for row in prod for e in row], self.ctx)
+        """Matrix product: :func:`cauchykit.densela.matmul`."""
+        return _oracle().matmul(self, other)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -158,98 +156,32 @@ class Matrix:
             raise ShapeError(f"{what} needs a square matrix, got {self.rows}x{self.cols}")
 
     def det_cofactor(self) -> Scalar:
-        """Determinant by first-row Laplace expansion. Exponential; n <= 8."""
-        self._require_square("det_cofactor")
-        if self.rows > COFACTOR_MAX:
-            raise SizeLimitError(
-                f"cofactor expansion guarded at n <= {COFACTOR_MAX}, got n={self.rows}"
-            )
-        return _oracle()._det_expand(self.to_rows(), self.ctx)
+        """Determinant by cofactor expansion, n <= 8: :func:`cauchykit.densela.det_cofactor`."""
+        return _oracle().det_cofactor(self)
 
     def det_fast(self) -> Scalar:
-        """Determinant by Gaussian elimination, first nonzero pivot per
-        column, on the raw integers of :func:`cauchykit.densela._eliminate` in
-        either ring: one Fraction or FpElement is made, for the result. A
-        determinant already found by :meth:`inverse` is returned as it is."""
-        self._require_square("det_fast")
-        if self._det is None:
-            self._det = _oracle()._eliminate(self)[0]
-        return self._det
+        """Determinant by elimination, kept: :func:`cauchykit.densela.det_fast`."""
+        return _oracle().det_fast(self)
 
     def charpoly(self) -> list:
-        """Coefficients [1, c_1, ..., c_n] of det(tI - A) = sum c_i t^(n-i),
-        by Berkowitz's algorithm: no division, valid for singular A. It runs
-        on the whole-matrix lift DA, whose coefficients are D^k c_k(A): a row
-        scaling is not a similarity."""
-        _, (d, *_), c, _ = self._row_lift("charpoly", by_row=False)
-        return [_oracle()._lower(self.ctx, ck, d ** k) for k, ck in enumerate(c)]
-
-    def _row_lift(self, what: str, by_row: bool = True) -> tuple[list[list], list, list, int]:
-        """(RA, r, the characteristic polynomial of RA, p) for the lift
-        R = diag(r) and modulus p of :func:`cauchykit.densela._lift`: the
-        row lift, or with ``by_row`` false the whole-matrix lift, r_i = D;
-        ``what`` names the caller in a shape error."""
-        self._require_square(what)
-        la = _oracle()
-        a, r, p = la._lift(self.to_rows(), self.ctx, by_row)
-        return a, r, la._berkowitz(a, p), p
+        """Characteristic polynomial by Berkowitz: :func:`cauchykit.densela.charpoly`."""
+        return _oracle().charpoly(self)
 
     def det_berkowitz(self) -> Scalar:
-        """Determinant as (-1)^n c_n(RA) / det R on the row lift, a route
-        that shares nothing with elimination."""
-        _, r, c, _ = self._row_lift("det_berkowitz")
-        return _oracle()._lower(self.ctx, (-1) ** self.rows * c[-1], math.prod(r))
+        """Determinant by Berkowitz's polynomial: :func:`cauchykit.densela.det_berkowitz`."""
+        return _oracle().det_berkowitz(self)
 
     def adjugate(self) -> "Matrix":
-        """Adjugate by Cayley-Hamilton on the row lift: adj(RA) = (-1)^(n-1)
-        ((RA)^(n-1) + c_1 (RA)^(n-2) + ... + c_(n-1) I), evaluated by Horner,
-        and adj(A) = adj(RA) R / det R. For the 1x1 matrix this is [[1]].
-        Satisfies A * adj(A) = adj(A) * A = det(A) * I in any commutative
-        ring, singular A included. Over F_p each Horner step is reduced mod p,
-        so the entries stay below p instead of growing with n."""
-        a, r, c, p = self._row_lift("adjugate")
-        n, la = self.rows, _oracle()
-        b = [[int(i == j) for j in range(n)] for i in range(n)]  # B <- RA B + c_k I
-        for k in range(1, n):
-            b = la._matmul(a, b, p)
-            for i in range(n):
-                b[i][i] = (b[i][i] + c[k]) % p if p else b[i][i] + c[k]
-        sign, scale = (-1) ** (n - 1), math.prod(r)
-        entries = [la._lower(self.ctx, sign * e * rj, scale) for row in b for e, rj in zip(row, r)]
-        return Matrix._of(n, n, entries, self.ctx)
+        """Adjugate by Cayley-Hamilton: :func:`cauchykit.densela.adjugate`."""
+        return _oracle().adjugate(self)
 
     def adjugate_entry_sum(self) -> Scalar:
-        """1^T adj(A) 1 = 1^T adj(RA) r / det R = (-1)^(n-1) sum_{k<n}
-        c_(n-1-k) 1^T (RA)^k r / det R, from the characteristic polynomial of
-        the row lift and its Krylov vectors (RA)^k r: O(n^3) past the O(n^4)
-        polynomial, with no adjugate built. Over F_p each Krylov vector is
-        reduced mod p."""
-        a, r, c, p = self._row_lift("adjugate_entry_sum")
-        n, la = self.rows, _oracle()
-        v, acc = r, 0  # v = (RA)^k r
-        for k in range(n):
-            acc += c[n - 1 - k] * sum(v)
-            v = [la._dot(row, v, p) for row in a]
-        return la._lower(self.ctx, (-1) ** (n - 1) * acc, math.prod(r))
+        """Entry sum of the adjugate, none built: :func:`cauchykit.densela.adjugate_entry_sum`."""
+        return _oracle().adjugate_entry_sum(self)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination on [A | I], O(n^3), on
-        the raw integers of :func:`cauchykit.densela._eliminate`: each entry
-        becomes one Fraction or FpElement at the end.
-
-        Raises NotInvertibleError (carrying the determinant) when the
-        determinant is not a unit. The run keeps the determinant for
-        :meth:`det_fast`; a zero determinant already known skips the run.
-        """
-        self._require_square("inverse")
-        if self._inv is None and self._det != 0:
-            self._det, inv = _oracle()._eliminate(self, jordan=True)
-            if inv is not None:
-                self._inv = Matrix._of(self.rows, self.cols, inv, self.ctx)
-        if self._inv is None:
-            det = self._det
-            raise NotInvertibleError(det, f"matrix is singular: det = {self.ctx.render(det)}")
-        return self._inv
+        """Inverse by Gauss-Jordan elimination, kept: :func:`cauchykit.densela.inverse`."""
+        return _oracle().inverse(self)
 
     def entry_sum(self) -> Scalar:
         return _oracle()._sum(self.entries, self.ctx)

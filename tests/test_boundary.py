@@ -9,10 +9,14 @@ attribute of the module bound by ``from . import cauchy``.
 
 The closed forms load no oracle code. Read with ``ast``: ``__init__``,
 ``matrix``, ``cauchy``, ``minmat`` and ``canary`` import nothing from
-``densela``, but for the one import inside ``matrix._oracle``. Run in a
-subprocess: the closed forms and the canary leave ``cauchykit.densela``
-unloaded, and the first oracle method on a matrix loads it. The names that
-``densela`` re-exports from ``matrix`` are the same objects."""
+``densela``, but for the one import inside ``matrix._oracle``, and each
+``Matrix`` method that calls ``_oracle()`` is at most a docstring and one
+``return _oracle().<name>(...)``, so the oracle logic itself is compiled only
+with ``densela``. Run in a subprocess: the closed forms, the canary and the
+container calls (construction, indexing, transpose, trace, equality, hash,
+repr) leave ``cauchykit.densela`` unloaded, and the first oracle method on a
+matrix loads it. The names that ``densela`` re-exports from ``matrix`` are
+the same objects."""
 
 import ast
 import json
@@ -108,6 +112,46 @@ def test_closed_forms_import_no_oracle_code(name):
     assert densela_imports(source(name)) == (["_oracle"] if name == "matrix.py" else [])
 
 
+def _calls_oracle(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_oracle"
+
+
+def oracle_delegates(source: str) -> dict:
+    """For each method of ``Matrix`` in ``source`` that calls ``_oracle()``,
+    the name it calls on the oracle module when its body is at most a
+    docstring and one ``return _oracle().<name>(...)``, else None."""
+    cls = next(n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == "Matrix")
+    out = {}
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and any(map(_calls_oracle, ast.walk(fn))):
+            body = fn.body[ast.get_docstring(fn) is not None:]
+            call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            delegates = (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                         and _calls_oracle(call.func.value))
+            out[fn.name] = call.func.attr if delegates else None
+    return out
+
+
+def test_matrix_oracle_methods_only_delegate():
+    delegates = oracle_delegates(source("matrix.py"))
+    assert None not in delegates.values(), delegates
+    assert {"det_cofactor", "det_fast", "charpoly", "det_berkowitz", "adjugate", "adjugate_entry_sum",
+            "inverse", "__mul__"} <= delegates.keys()
+
+
+@pytest.mark.parametrize("body, delegate", (
+    ('"""Doc."""\n        return _oracle().f(self)', "f"),
+    ("return _oracle()._sum(self.entries, self.ctx)", "_sum"),
+    ('self._require_square("f")\n        return _oracle().f(self)', None),
+    ("la = _oracle()\n        return la.f(self)", None),
+    ("return _oracle().f(self) if self.rows else None", None),
+    ("return Matrix._of(1, 1, [_oracle()._lower(self.ctx, 1, 1)], self.ctx)", None),
+), ids=("docstring", "bare", "guard", "bound", "conditional", "wrapped"))
+def test_the_delegate_reading_sees_each_shape(body, delegate):
+    text = f"class Matrix:\n    def m(self):\n        {body}\n\n    def plain(self):\n        return 1\n"
+    assert oracle_delegates(text) == {"m": delegate}
+
+
 @pytest.mark.parametrize("text, scopes", (
     ("from .densela import Matrix", [None]),
     ("from cauchykit.densela import _eliminate", [None]),
@@ -134,6 +178,9 @@ s = minmat.normalize(cauchykit.MinSpec([5, 1, 3], [2, 6, 4]))
 minmat.det_closed(s), minmat.det_zero_predicate(s)
 minmat.inverse_entry_sum(s), minmat.inverse_column_sums(s)
 canary.run_canary(canary.hilbert_spec(6))
+m = cauchykit.Matrix.from_rows([[1, F(1, 2)], [3, 4]], cauchykit.RationalRing())
+m.entry(0, 1), m.row(1), m.column(0), m.to_rows(), m.transpose(), m.trace()
+m == cauchykit.Matrix.from_rows(m.to_rows(), m.ctx), hash(m), repr(m)
 before = "cauchykit.densela" in sys.modules
 det = cauchy.build(spec).det_fast() == cauchy.det_closed(spec)
 print(json.dumps([before, "cauchykit.densela" in sys.modules, det]))

@@ -393,6 +393,29 @@ class TestKeptResults:
         assert m == other and hash(m) == hash(other)
 
 
+ORACLE_CALLS = {  # densela function -> the Matrix method call that runs it
+    "det_cofactor": lambda m: m.det_cofactor(),
+    "det_fast": lambda m: m.det_fast(),
+    "charpoly": lambda m: m.charpoly(),
+    "det_berkowitz": lambda m: m.det_berkowitz(),
+    "adjugate": lambda m: m.adjugate(),
+    "adjugate_entry_sum": lambda m: m.adjugate_entry_sum(),
+    "inverse": lambda m: m.inverse(),
+    "matmul": lambda m: m * m,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CALLS)
+def test_each_oracle_method_runs_the_densela_function(monkeypatch, name):
+    """A routine replaced in densela is the one the Matrix method runs."""
+    seen = []
+    monkeypatch.setattr(densela, name, lambda *args: seen.append(args) or "replaced")
+    m = Matrix.from_rows([[1, 2], [3, 5]], RING)
+    assert ORACLE_CALLS[name](m) == "replaced"
+    assert seen == [(m, m) if name == "matmul" else (m,)]
+    assert m._det is None and m._inv is None
+
+
 class TestEliminationKernel:
     """det_fast and inverse run on raw integers; hold them against the
     division-free and cofactor routes and the product with A."""
